@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -144,6 +145,8 @@ def read_series_csv(path) -> np.ndarray:
                     header_allowed = False
                     continue
                 raise InputError(f"{path}: line {lineno}: not a number: {cell!r}") from None
+            if not math.isfinite(values[-1]):
+                raise InputError(f"{path}: line {lineno}: non-finite value: {cell!r}")
             header_allowed = False
     if not values:
         raise InputError(f"{path}: no numeric rows found")
@@ -357,7 +360,10 @@ def run_analysis(config: AnalysisConfig) -> dict:
                 window,
             )
         else:
-            workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
+            try:
+                workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
+            except ValueError:
+                raise ParameterError(f"{THREADS_ENV} must be an integer") from None
             band = inference.permutation_band(
                 x,
                 est_config,
@@ -462,20 +468,12 @@ def cmd_oracle(args) -> int:
     oracle = oracles.arma11_spectral_oracle(args.phi, args.theta, tail)
     density = oracle.evaluate(grid.freqs)
 
-    if args.phi + args.theta == 0.0:
-        series_h = 1
-        rho_closed = np.zeros(args.max_lag + 1)
-        rho_closed[0] = 1.0
-        residual = 0.0
-    else:
-        series_h = oracles.series_lag_for_accuracy(args.phi, args.alpha, 1e-12)
-        rho_closed = oracles.arma11_extremogram_curve(
-            args.phi, args.theta, tail, args.max_lag
-        ).rho
-        filt = oracles.arma11_filter(args.phi, args.theta)
-        series_rho = oracles.extremogram_linear(filt, tail, series_h)
-        series_oracle = oracles.spectral_from_extremogram(series_rho)
-        residual = float(np.max(np.abs(density - series_oracle.evaluate(grid.freqs))))
+    series_h = oracles.series_lag_for_accuracy(args.phi, args.alpha, 1e-12)
+    rho_closed = oracles.arma11_extremogram_curve(args.phi, args.theta, tail, args.max_lag).rho
+    filt = oracles.arma11_filter(args.phi, args.theta)
+    series_rho = oracles.extremogram_linear(filt, tail, series_h)
+    series_oracle = oracles.spectral_from_extremogram(series_rho)
+    residual = float(np.max(np.abs(density - series_oracle.evaluate(grid.freqs))))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,9 @@ against each other:
   tail dependence of a linear (or max-moving-average) filter, summed to
   negligible truncation error, followed by a truncated cosine series for
   the spectral density;
-* exact piecewise closed forms for the ARMA(1,1) filter, split into four
-  sign cases of (phi, phi+theta), built on the trigonometric kernels.
+* exact closed forms for the ARMA(1,1) filter: rho(h) is a short list of
+  geometric segments in the lag, one list per sign case of (phi, phi+theta),
+  and the spectral density sums them with the trigonometric kernels.
 
 The filter coefficients determine both routes: a linear process and a
 max-moving average with the same coefficients and noise share the same
@@ -192,10 +193,10 @@ def spectral_from_extremogram(rho, max_lag: int | None = None) -> SpectralDensit
 # ---------------------------------------------------------------------------
 # ARMA(1,1) closed forms
 #
-# Four sign cases of (phi, phi+theta); the piecewise constants below are
-# transcribed without algebraic simplification, and the cross-oracle test
-# (closed form vs truncated series over the brute-force route) guards the
-# transcription.
+# For h >= 1, rho(h) is a sum of geometric segments (start, count, step,
+# coef, ratio): each adds coef * ratio**k to rho(start + step*k) for
+# k = 0..count-1, or for all k >= 0 when count is None.  The sign case of
+# (phi, phi+theta) fixes the segments; every closed form reads them.
 
 
 def _arma11_case(phi: float, total: float, tail: TailIndexSpec) -> str:
@@ -227,180 +228,97 @@ def _first_index_below_one(step: float, start: float) -> int:
     return k
 
 
-def arma11_extremogram_closed(phi: float, theta: float, tail: TailIndexSpec, h: int) -> float:
-    """Exact serial tail dependence of an ARMA(1,1) at lag h, set (1, inf).
+def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str, list[tuple]]:
+    """Sign case and segments of the ARMA(1,1) tail dependence.
 
-    Piecewise geometric in h, with a case split on the signs of phi and
-    phi+theta; phi+theta = 0 degenerates to independence (rho = 0).
+    A plateau (ratio 1) lasts while the pair minima still involve psi_0 = 1;
+    negative phi alternates the filter signs, so those cases step by two lags.
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ParameterError("need 0 < |phi| < 1")
-    if h < 0:
-        raise ParameterError("lag must be nonnegative")
-    if h == 0:
-        return 1.0
     total = phi + theta
     if total == 0.0:
-        return 0.0
+        return "independent", []
     alpha, p, q = tail.alpha, tail.upper_share, tail.lower_share
     case = _arma11_case(phi, total, tail)
     aphi = abs(phi)
+    sa = abs(total) ** alpha
+    fa = aphi**alpha
+    f2 = aphi ** (2.0 * alpha)
 
     if case == "pos_pos":
-        sa = total**alpha
-        fa = phi**alpha
         denom = 1.0 - fa + sa
-        c1 = (1.0 - fa) / denom
-        c2 = sa / denom
         h0 = _first_index_below_one(fa, sa)
-        if h <= h0:
-            return c1 + fa**h * c2
-        return fa ** (h - 1) * c2
+        return case, [
+            (1, h0, 1, (1.0 - fa) / denom, 1.0),
+            (1, h0, 1, fa * sa / denom, fa),
+            (h0 + 1, None, 1, fa**h0 * sa / denom, fa),
+        ]
 
     if case == "pos_neg":
-        sa = abs(total) ** alpha
-        fa = phi**alpha
-        c3 = q * sa / (p * (1.0 - fa) + q * sa)
-        return fa**h * c3
+        return case, [(1, None, 1, fa * q * sa / (p * (1.0 - fa) + q * sa), fa)]
 
     if case == "neg_pos":
-        sa = total**alpha
-        f2 = aphi ** (2.0 * alpha)
-        fa = aphi**alpha
         denom = p * (1.0 - f2 + sa) + q * fa * sa
         k1 = _first_index_below_one(aphi**2, total)
-        if h % 2 == 1:
-            k = (h + 1) // 2
-            if k <= k1:
-                return p * (1.0 - f2) / denom
-            return aphi ** (alpha * (h - 1)) * (p * sa * (1.0 - f2) / denom)
-        return aphi ** (alpha * h) * ((p * sa + q * fa * sa) / denom)
+        return case, [
+            (1, k1, 2, p * (1.0 - f2) / denom, 1.0),
+            (2 * k1 + 1, None, 2, f2**k1 * p * sa * (1.0 - f2) / denom, f2),
+            (2, None, 2, f2 * (p * sa + q * fa * sa) / denom, f2),
+        ]
 
-    # neg_neg
-    if h % 2 == 1:
-        return 0.0
-    sa = abs(total) ** alpha
-    f2 = aphi ** (2.0 * alpha)
-    fa = aphi**alpha
+    # neg_neg: odd lags vanish
     denom = p * (1.0 - f2) + p * fa * sa + q * sa
-    c7 = p * (1.0 - f2) / denom
-    c8 = (p * fa * sa + q * sa) / denom
-    c9 = (p * sa / fa + q * sa) / denom
     k2 = _first_index_below_one(aphi**2, aphi * abs(total))
-    k = h // 2
-    if k <= k2:
-        return c7 + f2**k * c8
-    return f2**k * c9
+    return case, [
+        (2, k2, 2, p * (1.0 - f2) / denom, 1.0),
+        (2, k2, 2, f2 * (p * fa * sa + q * sa) / denom, f2),
+        (2 * k2 + 2, None, 2, f2 ** (k2 + 1) * (p * sa / fa + q * sa) / denom, f2),
+    ]
 
 
-def _cos_sum_from_one(count: int, x: float, step: float) -> float:
-    """sum_{h=1..count} cos(x + h*step)."""
-    return cos_arith_sum(count, x + step, step)
-
-
-def _damped_cos_sum_from_one(count: int | None, x: float, ratio: float, step: float) -> float:
-    """sum_{h=1..count} ratio**h * cos(x + h*step); count=None sums to infinity."""
-    n = None if count is None else count + 1
-    cos_part = geometric_trig_sum(n, ratio, step, "cos") - 1.0  # drop the h = 0 term
-    sin_part = geometric_trig_sum(n, ratio, step, "sin")
-    return math.cos(x) * cos_part - math.sin(x) * sin_part
+def arma11_extremogram_closed(phi: float, theta: float, tail: TailIndexSpec, h: int) -> float:
+    """Exact serial tail dependence of an ARMA(1,1) at lag h, set (1, inf)."""
+    return float(arma11_extremogram_curve(phi, theta, tail, h).rho[h])
 
 
 def arma11_spectral_closed(phi: float, theta: float, tail: TailIndexSpec, lam: float) -> float:
-    """Exact spectral density of the ARMA(1,1) tail dependence at one frequency.
-
-    Assembled from finite and geometrically damped cosine sums; the
-    negative-phi cases step in even lags, so they use doubled frequency
-    and squared geometric ratio.
-    """
-    if not 0.0 < lam < math.pi:
-        raise ParameterError("frequency must lie in (0, pi)")
-    if not 0.0 < abs(phi) < 1.0:
-        raise ParameterError("need 0 < |phi| < 1")
-    total = phi + theta
-    if total == 0.0:
-        return 1.0
-    alpha, p, q = tail.alpha, tail.upper_share, tail.lower_share
-    case = _arma11_case(phi, total, tail)
-    aphi = abs(phi)
-
-    if case == "pos_pos":
-        sa = total**alpha
-        fa = phi**alpha
-        denom = 1.0 - fa + sa
-        c1 = (1.0 - fa) / denom
-        c2 = sa / denom
-        h0 = _first_index_below_one(fa, sa)
-        return (
-            1.0
-            + 2.0 * c1 * _cos_sum_from_one(h0, 0.0, lam)
-            + 2.0 * (1.0 - fa**-1) * c2 * _damped_cos_sum_from_one(h0, 0.0, fa, lam)
-            + 2.0 * fa**-1 * c2 * _damped_cos_sum_from_one(None, 0.0, fa, lam)
-        )
-
-    if case == "pos_neg":
-        sa = abs(total) ** alpha
-        fa = phi**alpha
-        c3 = q * sa / (p * (1.0 - fa) + q * sa)
-        return 1.0 + 2.0 * c3 * _damped_cos_sum_from_one(None, 0.0, fa, lam)
-
-    if case == "neg_pos":
-        sa = total**alpha
-        f2 = aphi ** (2.0 * alpha)
-        fa = aphi**alpha
-        denom = p * (1.0 - f2 + sa) + q * fa * sa
-        c4 = p * (1.0 - f2) / denom
-        c5 = p * sa * (1.0 - f2) / denom
-        c6 = (p * sa + q * fa * sa) / denom
-        k1 = _first_index_below_one(aphi**2, total)
-        return (
-            1.0
-            + 2.0 * c4 * _cos_sum_from_one(k1, -lam, 2.0 * lam)
-            + 2.0
-            * f2**-1
-            * c5
-            * (
-                _damped_cos_sum_from_one(None, -lam, f2, 2.0 * lam)
-                - _damped_cos_sum_from_one(k1, -lam, f2, 2.0 * lam)
-            )
-            + 2.0 * c6 * _damped_cos_sum_from_one(None, 0.0, f2, 2.0 * lam)
-        )
-
-    # neg_neg
-    sa = abs(total) ** alpha
-    f2 = aphi ** (2.0 * alpha)
-    fa = aphi**alpha
-    denom = p * (1.0 - f2) + p * fa * sa + q * sa
-    c7 = p * (1.0 - f2) / denom
-    c8 = (p * fa * sa + q * sa) / denom
-    c9 = (p * sa / fa + q * sa) / denom
-    k2 = _first_index_below_one(aphi**2, aphi * abs(total))
-    return (
-        1.0
-        + 2.0 * c7 * _cos_sum_from_one(k2, 0.0, 2.0 * lam)
-        + 2.0 * (c8 - c9) * _damped_cos_sum_from_one(k2, 0.0, f2, 2.0 * lam)
-        + 2.0 * c9 * _damped_cos_sum_from_one(None, 0.0, f2, 2.0 * lam)
-    )
+    """Exact spectral density of the ARMA(1,1) tail dependence at one frequency."""
+    return arma11_spectral_oracle(phi, theta, tail)(lam)
 
 
 def arma11_extremogram_curve(
     phi: float, theta: float, tail: TailIndexSpec, max_lag: int
 ) -> Extremogram:
     """Closed-form tail dependence at lags 0..max_lag."""
-    rho = np.array([arma11_extremogram_closed(phi, theta, tail, h) for h in range(max_lag + 1)])
+    if max_lag < 0:
+        raise ParameterError("lag must be nonnegative")
+    rho = np.zeros(max_lag + 1)
+    rho[0] = 1.0
+    _, segments = _arma11_segments(phi, theta, tail)
+    for start, count, step, coef, ratio in segments:
+        stop = max_lag + 1 if count is None else min(max_lag + 1, start + step * count)
+        lags = np.arange(start, stop, step)
+        rho[lags] += coef * ratio ** ((lags - start) // step)
     return Extremogram(rho=rho, n_events=0)
 
 
 def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> SpectralDensityOracle:
-    """Callable closed-form spectral density for the ARMA(1,1) tail model."""
-    total = phi + theta
-    if total == 0.0:
-        case = "independent"
-    else:
-        case = _arma11_case(phi, total, tail)
+    """Callable closed-form spectral density f = 1 + 2 sum_h rho(h) cos(h lam)."""
+    case, segments = _arma11_segments(phi, theta, tail)
 
     def fn(freqs: np.ndarray) -> np.ndarray:
-        return np.array([arma11_spectral_closed(phi, theta, tail, lam) for lam in freqs])
+        density = np.ones(freqs.shape)
+        for start, count, step, coef, ratio in segments:
+            # sum_k ratio**k cos(x + k*dx) over the segment's terms
+            x, dx = start * freqs, step * freqs
+            if ratio == 1.0:
+                seg_sum = cos_arith_sum(count, x, dx)
+            else:
+                g_cos, g_sin = (geometric_trig_sum(count, ratio, dx, f) for f in ("cos", "sin"))
+                seg_sum = np.cos(x) * g_cos - np.sin(x) * g_sin
+            density += 2.0 * coef * seg_sum
+        return density
 
     return SpectralDensityOracle(fn=fn, provenance=f"arma11_closed({case})")
 

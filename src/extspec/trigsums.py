@@ -31,21 +31,21 @@ class SingularFrequencyError(ValueError):
     """A denominator sine is numerically zero at the requested frequency."""
 
 
-def _checked_sin(x: float, what: str) -> float:
-    s = math.sin(x)
-    if abs(s) < SIN_EPS:
-        raise SingularFrequencyError(f"{what} is numerically singular: sin = {s:.3e}")
+def _checked_sin(x, what: str):
+    s = np.sin(x)
+    if np.any(np.abs(s) < SIN_EPS):
+        raise SingularFrequencyError(f"{what} is numerically singular: |sin| {np.abs(s).min():.3e}")
     return s
 
 
-def cos_arith_sum(n: int, x: float, step: float) -> float:
-    """Sum of cos(x + k*step) for k = 0, ..., n-1."""
+def cos_arith_sum(n: int, x, step):
+    """Sum of cos(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
     if n < 0:
         raise ParameterError("number of terms must be nonnegative")
     if n == 0:
         return 0.0
     s = _checked_sin(step / 2.0, "step/2")
-    return math.cos(x + (n - 1) * step / 2.0) * math.sin(n * step / 2.0) / s
+    return np.cos(x + (n - 1) * step / 2.0) * np.sin(n * step / 2.0) / s
 
 
 def sin_arith_sum(n: int, x: float, step: float) -> float:
@@ -83,12 +83,13 @@ def k_weighted_trig_sum(n: int, lam: float, flavor: str = "cos") -> float:
     return float(val)
 
 
-def geometric_trig_sum(n: int | None, p: float, lam: float, flavor: str = "cos") -> float:
+def geometric_trig_sum(n: int | None, p: float, lam, flavor: str = "cos"):
     """Geometrically damped trigonometric sum.
 
     For finite ``n`` returns sum of p^k*cos(k*lam) over k = 0, ..., n-1
     (cos flavor) or p^k*sin(k*lam) over k = 1, ..., n-1 (sin flavor).
     ``n=None`` evaluates the infinite series, which requires |p| < 1.
+    ``lam`` may be an array.
     """
     if n is None:
         if abs(p) >= 1.0:
@@ -98,29 +99,29 @@ def geometric_trig_sum(n: int | None, p: float, lam: float, flavor: str = "cos")
             raise ParameterError("number of terms must be nonnegative")
         if n == 0:
             return 0.0
-    denom = 1.0 - 2.0 * p * math.cos(lam) + p * p
-    if denom < 1e-14:
+    denom = 1.0 - 2.0 * p * np.cos(lam) + p * p
+    if np.any(denom < 1e-14):
         raise SingularFrequencyError(
-            f"geometric denominator 1 - 2p cos(lam) + p^2 = {denom:.3e} is singular"
+            f"geometric denominator 1 - 2p cos(lam) + p^2 = {np.min(denom):.3e} is singular"
         )
     if flavor == "cos":
         if n is None:
-            num = 1.0 - p * math.cos(lam)
+            num = 1.0 - p * np.cos(lam)
         else:
             num = (
                 1.0
-                - p * math.cos(lam)
-                - p**n * math.cos(n * lam)
-                + p ** (n + 1) * math.cos((n - 1) * lam)
+                - p * np.cos(lam)
+                - p**n * np.cos(n * lam)
+                + p ** (n + 1) * np.cos((n - 1) * lam)
             )
     elif flavor == "sin":
         if n is None:
-            num = p * math.sin(lam)
+            num = p * np.sin(lam)
         else:
             num = (
-                p * math.sin(lam)
-                - p**n * math.sin(n * lam)
-                + p ** (n + 1) * math.sin((n - 1) * lam)
+                p * np.sin(lam)
+                - p**n * np.sin(n * lam)
+                + p ** (n + 1) * np.sin((n - 1) * lam)
             )
     else:
         raise ParameterError(f"unknown flavor {flavor!r}")

@@ -78,9 +78,10 @@ class TestReadSeries:
 
     def test_malformed_row_names_line(self, tmp_path):
         f = tmp_path / "x.csv"
-        f.write_text("1\n2\noops\n4\n")
-        with pytest.raises(InputError, match="line 3"):
-            read_series_csv(f)
+        for bad in ("oops", "nan", "inf", "-inf"):
+            f.write_text(f"1\n2\n{bad}\n4\n")
+            with pytest.raises(InputError, match="line 3"):
+                read_series_csv(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -187,9 +188,10 @@ class TestAnalyzeCommand:
 
     def test_malformed_input_exit_2_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
-        data.write_text("1\n2\nthree\n")
-        assert run(["analyze", "--input", data, "--out-dir", tmp_path / "o"]) == 2
-        assert "line 3" in capsys.readouterr().err
+        for bad in ("three", "nan", "inf", "-inf"):
+            data.write_text(f"1\n2\n{bad}\n")
+            assert run(["analyze", "--input", data, "--out-dir", tmp_path / "o"]) == 2
+            assert "line 3" in capsys.readouterr().err
 
     def test_json_format(self, sim_file, tmp_path):
         out = tmp_path / "runj"
@@ -198,7 +200,7 @@ class TestAnalyzeCommand:
         payload = json.loads((out / "spectrum.json").read_text())
         assert payload["rows"][0].keys() == {"lambda", "raw", "smoothed", "lower", "upper"}
 
-    def test_permutation_band_and_thread_env(self, sim_file, tmp_path, monkeypatch):
+    def test_permutation_band_and_thread_env(self, sim_file, tmp_path, monkeypatch, capsys):
         args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
                 "--band", "permutation", "--replicates", 29, "--band-seed", 4,
                 "--grid", "list:0.8,1.2,1.6,2.0"]
@@ -208,6 +210,9 @@ class TestAnalyzeCommand:
         monkeypatch.setenv("EXTSPEC_THREADS", "3")
         assert run(args + ["--out-dir", out2]) == 0
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+        monkeypatch.setenv("EXTSPEC_THREADS", "abc")
+        assert run(args + ["--out-dir", tmp_path / "t3"]) == 2
+        assert "error: EXTSPEC_THREADS" in capsys.readouterr().err
 
     def test_custom_grid_rows(self, sim_file, tmp_path):
         out = tmp_path / "g"

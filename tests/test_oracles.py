@@ -185,6 +185,33 @@ class TestClosedFormSpectralDensity:
                 )
                 assert np.max(np.abs(closed - series.evaluate(grid))) < 1e-8
 
+    def test_matches_exact_sum_of_closed_extremogram(self):
+        # reference: math.fsum of 1 + 2 sum_h rho(h) cos(h lam) over every
+        # lag with rho(h) >= 1e-20; in the last case, forming the density as
+        # an infinite damped sum minus a finite one loses 3.9e-11 relative
+        grid = np.linspace(0.005, math.pi - 0.005, 128)
+        cases = [
+            (0.8, 0.1, T3),
+            (0.6, -0.9, T3),
+            (-0.7, 0.9, T3),
+            (-0.6, -0.2, T3),
+            (
+                -0.2513470458863947,
+                1.2198683990200898,
+                TailIndexSpec(alpha=3.27407004984767, upper_share=0.6580836338167552),
+            ),
+        ]
+        for phi, theta, tail in cases:
+            depth = 2 * series_lag_for_accuracy(phi, tail.alpha, 1e-20)
+            rho = arma11_extremogram_curve(phi, theta, tail, depth).rho
+            assert rho[-2:].max() < 1e-20
+            lags = np.flatnonzero(rho >= 1e-20)[1:]
+            exact = np.array(
+                [math.fsum([1.0, *(2.0 * rho[lags] * np.cos(lags * lam))]) for lam in grid]
+            )
+            closed = arma11_spectral_oracle(phi, theta, tail).evaluate(grid)
+            assert np.max(np.abs(closed - exact) / exact) < 1e-12
+
     def test_nonnegative_on_scan(self):
         grid = np.linspace(0.01, math.pi - 0.01, 200)
         for phi, theta in [(0.8, 0.1), (0.6, -0.9), (-0.7, 0.9), (-0.6, -0.2)]:

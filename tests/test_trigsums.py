@@ -45,6 +45,10 @@ class TestArithmeticSums:
             assert sin_arith_sum(n, x, lam) == pytest.approx(
                 float(np.sin(x + k * lam).sum()), abs=1e-9
             )
+            lams = np.array([lam, 0.5 * lam, math.pi - lam])
+            np.testing.assert_array_equal(
+                cos_arith_sum(n, x * lams, lams), [cos_arith_sum(n, x * v, v) for v in lams]
+            )
 
     def test_fourier_full_period_sums_vanish(self):
         # sum over t = 1..n of cos/sin(lam*t) is zero at Fourier frequencies
@@ -59,6 +63,8 @@ class TestArithmeticSums:
     def test_singular_frequency(self):
         with pytest.raises(SingularFrequencyError):
             cos_arith_sum(5, 0.0, 2 * math.pi)
+        with pytest.raises(SingularFrequencyError):
+            cos_arith_sum(5, 0.0, np.array([1.0, 2 * math.pi]))
 
 
 class TestKWeightedSums:
@@ -118,6 +124,15 @@ class TestGeometricSums:
             assert geometric_trig_sum(n, p, lam, "sin") == pytest.approx(
                 float((p**kk * np.sin(kk * lam)).sum()), abs=1e-10
             )
+            lams = np.array([lam, 0.5 * lam, math.pi - lam])
+            for count in (n, None):
+                for flavor in ("cos", "sin"):
+                    np.testing.assert_array_equal(
+                        geometric_trig_sum(count, p, lams, flavor),
+                        [geometric_trig_sum(count, p, v, flavor) for v in lams],
+                    )
+        with pytest.raises(SingularFrequencyError):
+            geometric_trig_sum(5, 1.0, np.array([1.0, 0.0]), "cos")
 
     def test_divergent_infinite_sum(self):
         with pytest.raises(ParameterError):
