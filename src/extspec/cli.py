@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,9 +37,6 @@ from .core import (
     threshold_from_quantile,
 )
 from .trigsums import SingularFrequencyError
-
-THREADS_ENV = "EXTSPEC_THREADS"
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -335,45 +331,32 @@ def run_analysis(config: AnalysisConfig) -> dict:
         raise ParameterError("frequency grid is empty for this series length")
     raw = estimators.standardized_periodogram(ind, grid).values
 
-    s = window.half_width
     smoothed = np.full(len(grid), np.nan)
     if grid.fourier and grid.n_ref == n:
         curve = estimators.smoothed_curve(ind, window)
         # admissible centers are a contiguous run of the Fourier grid
         offset = int(curve.grid.indices[0] - grid.indices[0])
         smoothed[offset : offset + len(curve.grid)] = curve.values
-        band_grid = curve.grid
-        band_values = curve.values
     else:
         curve = estimators.smoothed_at_frequencies(ind, grid.freqs, window)
         smoothed[:] = curve.values
-        band_grid = curve.grid
-        band_values = curve.values
 
     lower = np.full(len(grid), np.nan)
     upper = np.full(len(grid), np.nan)
     band_info: dict = {"method": config.band}
     if config.band != "none":
         if config.band == "surrogate":
-            band = inference.surrogate_band(
-                estimators.SpectralEstimate(grid=band_grid, values=band_values, kind="smoothed"),
-                window,
-            )
+            band = inference.surrogate_band(curve, window)
         else:
-            try:
-                workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-            except ValueError:
-                raise ParameterError(f"{THREADS_ENV} must be an integer") from None
             band = inference.permutation_band(
                 x,
                 est_config,
                 tail_set,
                 window,
-                band_grid,
+                curve.grid,
                 replicates=config.replicates,
                 seed=config.band_seed,
                 level=config.level,
-                n_workers=workers,
             )
             band_info.update(
                 {"replicates": config.replicates, "seed": config.band_seed, "level": config.level}

@@ -103,8 +103,9 @@ class PredicateSet:
     """Opaque membership test on scaled observations.
 
     The callable receives the scaled array and must return a boolean
-    array of the same shape.  The caller is responsible for keeping the
-    set bounded away from zero.
+    array of the same shape, classifying each value on its own,
+    independently of its position and of the other values.  The caller
+    is responsible for keeping the set bounded away from zero.
     """
 
     test: Callable[[np.ndarray], np.ndarray]
@@ -253,12 +254,6 @@ def fourier_grid(n: int) -> FrequencyGrid:
     return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
 
 
-def _first_fourier_index_at_or_above(lam: float, n: int) -> int:
-    # smallest j with 2*pi*j/n >= lam; guard against float round-off when
-    # lam is itself a Fourier frequency
-    return math.ceil(lam * n / (2.0 * math.pi) - 1e-12)
-
-
 def smoothing_grid(lam: float, n: int, s: int) -> FrequencyGrid:
     """The 2s+1 Fourier frequencies of n centered at the first Fourier
     frequency at or above ``lam``.
@@ -266,22 +261,39 @@ def smoothing_grid(lam: float, n: int, s: int) -> FrequencyGrid:
     Rejects windows that would leave the open interval (0, pi); the error
     message reports the largest admissible half-width for this frequency.
     """
-    if not 0.0 < lam < math.pi:
-        raise ParameterError("target frequency must lie in (0, pi)")
+    j = smoothing_window_starts(lam, n, s)[0] + np.arange(2 * s + 1)
+    return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
+
+
+def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
+    """First Fourier index j0 - s of the smoothing window around each target.
+
+    j0 is the first Fourier index of n whose frequency is at or above the
+    target frequency.  The first target whose window would leave (0, pi)
+    is rejected as in :func:`smoothing_grid`.
+    """
     if s < 0:
         raise ParameterError("smoothing half-width must be nonnegative")
     if n < 2:
         raise InputError("need at least two observations")
-    j0 = _first_fourier_index_at_or_above(lam, n)
+    lam = np.atleast_1d(np.asarray(targets, dtype=float))
+    inside = (lam > 0.0) & (lam < math.pi)
+    # lam*n/(2*pi) misses j by a few ulps when lam = 2*pi*j/n (four
+    # roundings), so the slack is relative; the 1e-12 floor serves small j
+    x = np.where(inside, lam, 0.0) * n / (2.0 * math.pi)
+    j0 = np.ceil(x - np.maximum(1e-12, 1e-15 * x)).astype(np.int64)
     j_hi_max = (n - 1) // 2  # largest j with 2*pi*j/n < pi
-    s_max = min(j0 - 1, j_hi_max - j0)
-    if s > s_max:
+    bad = ~inside | (j0 <= s) | (j0 > j_hi_max - s)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not inside[i]:
+            raise ParameterError("target frequency must lie in (0, pi)")
+        s_max = min(int(j0[i]) - 1, j_hi_max - int(j0[i]))
         raise ParameterError(
-            f"smoothing window of half-width {s} around frequency {lam:g} "
+            f"smoothing window of half-width {s} around frequency {lam[i]:g} "
             f"leaves (0, pi); the maximum half-width here is {max(s_max, 0)}"
         )
-    j = np.arange(j0 - s, j0 + s + 1, dtype=np.int64)
-    return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
+    return j0 - s
 
 
 # ---------------------------------------------------------------------------

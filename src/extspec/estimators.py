@@ -26,7 +26,7 @@ from .core import (
     IndicatorSeries,
     ParameterError,
     fourier_grid,
-    smoothing_grid,
+    smoothing_window_starts,
 )
 
 SPECTRAL_KINDS = ("raw_periodogram", "standardized_periodogram", "lag_window", "smoothed")
@@ -342,9 +342,7 @@ def smoothed_periodogram(ind: IndicatorSeries, lam: float, window: WeightWindow)
     first Fourier frequency at or above ``lam``; the result is a convex
     combination, so it lies between the smallest and largest ordinate.
     """
-    grid = smoothing_grid(lam, ind.n, window.half_width)
-    ords = standardized_periodogram(ind, grid).values
-    return float(np.dot(window.weights, ords))
+    return float(smoothed_at_frequencies(ind, lam, window).values[0])
 
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:
@@ -357,15 +355,35 @@ def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstima
     s = window.half_width
     if len(full) < 2 * s + 1:
         raise ParameterError("series too short for this smoothing half-width")
-    std = standardized_periodogram(ind, full, method="fft").values
-    vals = np.correlate(std, window.weights, mode="valid")
     grid = FrequencyGrid(
         freqs=full.freqs[s : len(full) - s],
         fourier=True,
         n_ref=ind.n,
         indices=full.indices[s : len(full) - s],
     )
+    # the windows starting at j = 1, 2, ... are exactly the admissible ones
+    vals = smoothed_window_sums(ind.centered(), ind.n_events, window, slice(1, len(grid) + 1))
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
+
+
+def smoothed_window_sums(centered: np.ndarray, n_events: int, window: WeightWindow, starts):
+    """Window sums of the standardized ordinates |sum_t c_t e^(-i t lam_j)|^2 / n_events.
+
+    ``starts`` picks the windows by their first Fourier index: an index
+    array as returned by :func:`~extspec.core.smoothing_window_starts`, or
+    a slice with explicit bounds for a contiguous run.  One real FFT of the
+    centered indicators supplies the ordinates; only the span from the
+    first to the last window is squared and correlated.
+    """
+    if n_events < 1:
+        raise DegenerateDataError("no tail events: smoothed periodogram undefined")
+    run = starts
+    if not isinstance(starts, slice):
+        lo = int(starts.min()) if starts.size else 1
+        run = slice(lo, int(starts.max(initial=lo)) + 1)
+    std = _fft_power(centered, slice(run.start, run.stop + window.weights.size - 1)) / n_events
+    sums = np.correlate(std, window.weights, mode="valid")
+    return sums if run is starts else sums[starts - run.start]
 
 
 def smoothed_at_frequencies(
@@ -376,15 +394,8 @@ def smoothed_at_frequencies(
     Shares one FFT pass across all targets; each value averages the
     window of Fourier ordinates around its target.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    full = fourier_grid(ind.n)
-    std = standardized_periodogram(ind, full, method="fft").values
-    s = window.half_width
-    vals = np.empty(freqs.size)
-    for i, lam in enumerate(freqs):
-        grid = smoothing_grid(lam, ind.n, s)
-        lo = int(grid.indices[0]) - 1  # Fourier index j maps to array slot j-1
-        vals[i] = float(np.dot(window.weights, std[lo : lo + 2 * s + 1]))
+    starts = smoothing_window_starts(freqs, ind.n, window.half_width)
+    vals = smoothed_window_sums(ind.centered(), ind.n_events, window, starts)
     return SpectralEstimate(
-        grid=FrequencyGrid.from_frequencies(freqs), values=vals, kind="smoothed"
+        grid=FrequencyGrid.from_frequencies(np.atleast_1d(freqs)), values=vals, kind="smoothed"
     )

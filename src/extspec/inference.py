@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +21,14 @@ from .core import (
     FrequencyGrid,
     ParameterError,
     TailSet,
-    as_series,
     exceedance_indicators,
+    smoothing_window_starts,
     threshold_from_quantile,
 )
 from .estimators import (
     SpectralEstimate,
     WeightWindow,
-    smoothed_at_frequencies,
+    smoothed_window_sums,
 )
 from .oracles import SpectralDensityOracle
 
@@ -103,22 +102,23 @@ def permutation_band(
     replicates: int,
     seed: int,
     level: float = 0.05,
-    n_workers: int = 1,
 ) -> Band:
     """Empirical envelope of smoothed curves over random permutations.
 
-    Each replicate shuffles the raw series, re-derives the quantile
-    threshold (which the shuffle leaves unchanged, so only the event
-    positions move) and recomputes the smoothed standardized curve on
-    ``grid``.  The band is the pointwise pair of order statistics
-    ceil((level/2)(B+1)) and floor((1-level/2)(B+1)) among the B
-    replicates.  The observed series itself is not included among the
-    replicates.
+    A permutation of the series leaves its quantile threshold and event
+    count unchanged and moves only the event positions, so the indicators
+    are derived once and each replicate permutes their centered values
+    and recomputes the smoothed standardized curve on ``grid`` (the tail
+    set must test each scaled observation on its own).  The band is the
+    pointwise pair of order statistics ceil((level/2)(B+1)) and
+    floor((1-level/2)(B+1)) among the B replicates.  The observed series
+    itself is not included among the replicates.
 
-    Replicate streams are derived from ``seed`` ahead of time, so the
-    result does not depend on ``n_workers``.
+    Replicate b draws its permutation from the b-th child of
+    ``SeedSequence(seed)``, so the result depends only on ``seed``.
+    Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid)),
+    sorted in place, plus O(n) for one replicate at a time.
     """
-    x = as_series(series)
     lo_k, hi_k = envelope_order_statistics(replicates, level)
     if replicates < 19:
         warnings.warn(
@@ -128,23 +128,14 @@ def permutation_band(
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty")
 
-    children = np.random.SeedSequence(seed).spawn(replicates)
-
-    def one(child) -> np.ndarray:
-        rng = np.random.default_rng(child)
-        perm = rng.permutation(x)
-        thr = threshold_from_quantile(perm, config.q)
-        ind = exceedance_indicators(perm, tail_set, thr)
-        if ind.n_events == 0:
-            raise DegenerateDataError("no tail events in permutation replicate")
-        return smoothed_at_frequencies(ind, grid.freqs, window).values
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, children))
-    else:
-        rows = [one(c) for c in children]
-    reps = np.sort(np.vstack(rows), axis=0)
+    ind = exceedance_indicators(series, tail_set, threshold_from_quantile(series, config.q))
+    starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
+    centered = ind.centered()
+    reps = np.empty((replicates, len(grid)))
+    for row, child in zip(reps, np.random.SeedSequence(seed).spawn(replicates)):
+        perm = np.random.default_rng(child).permutation(centered)
+        row[:] = smoothed_window_sums(perm, ind.n_events, window, starts)
+    reps.sort(axis=0)
     return Band(
         grid=grid,
         lower=reps[lo_k - 1],

@@ -244,6 +244,8 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     aphi = abs(phi)
     sa = abs(total) ** alpha
     fa = aphi**alpha
+    if fa == 1.0:
+        raise ParameterError(f"|phi|**alpha rounds to 1 for phi={phi!r}, alpha={alpha!r}")
     f2 = aphi ** (2.0 * alpha)
 
     if case == "pos_pos":

@@ -200,19 +200,14 @@ class TestAnalyzeCommand:
         payload = json.loads((out / "spectrum.json").read_text())
         assert payload["rows"][0].keys() == {"lambda", "raw", "smoothed", "lower", "upper"}
 
-    def test_permutation_band_and_thread_env(self, sim_file, tmp_path, monkeypatch, capsys):
+    def test_permutation_band_reruns_identical(self, sim_file, tmp_path):
         args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
                 "--band", "permutation", "--replicates", 29, "--band-seed", 4,
                 "--grid", "list:0.8,1.2,1.6,2.0"]
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        monkeypatch.setenv("EXTSPEC_THREADS", "1")
         assert run(args + ["--out-dir", out1]) == 0
-        monkeypatch.setenv("EXTSPEC_THREADS", "3")
         assert run(args + ["--out-dir", out2]) == 0
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
-        monkeypatch.setenv("EXTSPEC_THREADS", "abc")
-        assert run(args + ["--out-dir", tmp_path / "t3"]) == 2
-        assert "error: EXTSPEC_THREADS" in capsys.readouterr().err
 
     def test_custom_grid_rows(self, sim_file, tmp_path):
         out = tmp_path / "g"
@@ -251,6 +246,10 @@ class TestOracleCommand:
         vals = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(vals == 1.0)
 
-    def test_unsupported_case_exit_2(self, tmp_path):
+    def test_unsupported_case_exit_2(self, tmp_path, capsys):
         assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
                     "--p", 0.0, "--out-dir", tmp_path / "u"]) == 2
+        # |phi|**alpha rounds to 1: the dependence never decays in floating point
+        assert run(["oracle", "arma11", "--phi", "0.9999999999999999", "--theta", 0.1,
+                    "--alpha", 0.001, "--out-dir", tmp_path / "d"]) == 2
+        assert "error: |phi|**alpha rounds to 1" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from extspec import (
     smoothing_grid,
     threshold_from_quantile,
 )
+from extspec.core import smoothing_window_starts
 
 
 class TestThreshold:
@@ -198,6 +199,18 @@ class TestSmoothingGrid:
         # the center snaps to the first Fourier frequency at or above lam
         assert center >= lam - 1e-9
         assert center - 2 * math.pi / n < lam + 1e-9
+
+    @pytest.mark.parametrize("n", [2**17, 10**6, 999_999])
+    def test_every_fourier_frequency_maps_to_its_own_index(self, n):
+        # lam*n/(2*pi) misses j by more than 1e-12 for j beyond ~2e4
+        g = fourier_grid(n)
+        assert np.array_equal(smoothing_window_starts(g.freqs, n, 0), g.indices)
+
+    def test_window_starts_reject_first_bad_target(self):
+        with pytest.raises(ParameterError, match="around frequency 0.05 leaves"):
+            smoothing_window_starts([1.0, 0.05, 4.0], 100, 2)
+        with pytest.raises(ParameterError, match="target frequency must lie in"):
+            smoothing_window_starts([1.0, 4.0, 0.05], 100, 2)
 
     def test_suggested_half_width_is_usable(self):
         try:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
@@ -217,6 +219,10 @@ class TestStandardizedPeriodogram:
         ind = make_indicators(np.zeros(8, dtype=bool))
         with pytest.raises(DegenerateDataError):
             standardized_periodogram(ind, fourier_grid(8))
+        with pytest.raises(DegenerateDataError):
+            smoothed_curve(ind, daniell_window(1))
+        with pytest.raises(DegenerateDataError):
+            smoothed_at_frequencies(ind, [1.5], daniell_window(1))
 
     def test_scale_invariant_pipeline(self):
         rng = np.random.default_rng(23)
@@ -378,6 +384,20 @@ class TestSmoothedPeriodogram:
         batch = smoothed_at_frequencies(ind, some, w)
         for lam, v in zip(some, batch.values):
             assert v == pytest.approx(smoothed_periodogram(ind, lam, w), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(64, 2048), s=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+    def test_curve_equals_at_frequencies_exactly(self, n, s, seed):
+        x = sample_noise(StudentT(3), n, seed)
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, 0.9))
+        w = daniell_window(s)
+        curve = smoothed_curve(ind, w)
+        batch = smoothed_at_frequencies(ind, curve.grid.freqs, w)
+        assert np.array_equal(curve.values, batch.values)
+        # a run that starts and ends inside the curve reads the same sums
+        k = seed % len(curve.values)
+        part = smoothed_at_frequencies(ind, curve.grid.freqs[k::3], w)
+        assert np.array_equal(curve.values[k::3], part.values)
 
     def test_nonnegative(self, make_indicators):
         rng = np.random.default_rng(43)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extspec import (
     Band,
@@ -13,6 +16,7 @@ from extspec import (
     StudentT,
     UpperRay,
     daniell_window,
+    envelope_order_statistics,
     exceedance_indicators,
     exponential_diagnostics,
     fourier_grid,
@@ -92,7 +96,7 @@ class TestEnvelopeOrderStatistics:
 
 class TestPermutationBand:
     @staticmethod
-    def _band(x, seed, replicates=49, level=0.05, n_workers=1, s=10):
+    def _band(x, seed, replicates=49, level=0.05, s=10):
         cfg = EstimatorConfig(q=0.95, s=s)
         win = daniell_window(s)
         thr = threshold_from_quantile(x, cfg.q)
@@ -100,7 +104,7 @@ class TestPermutationBand:
         grid = thin_grid(smoothed_curve(ind, win).grid, 40)
         band = permutation_band(
             x, cfg, UpperRay(1.0), win, grid,
-            replicates=replicates, seed=seed, level=level, n_workers=n_workers,
+            replicates=replicates, seed=seed, level=level,
         )
         vals = smoothed_at_frequencies(ind, grid.freqs, win).values
         return band, vals
@@ -120,13 +124,11 @@ class TestPermutationBand:
         with pytest.warns(UserWarning, match="envelope"):
             permutation_band(x, cfg, UpperRay(1.0), daniell_window(2), grid, 5, 0)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_given_seed(self):
         x = sample_noise(StudentT(3), 2048, 3)
         b1, _ = self._band(x, seed=7)
         b2, _ = self._band(x, seed=7)
-        b3, _ = self._band(x, seed=7, n_workers=3)
         assert np.array_equal(b1.lower, b2.lower) and np.array_equal(b1.upper, b2.upper)
-        assert np.array_equal(b1.lower, b3.lower) and np.array_equal(b1.upper, b3.upper)
         b4, _ = self._band(x, seed=8)
         assert not np.array_equal(b1.lower, b4.lower)
 
@@ -150,6 +152,64 @@ class TestPermutationBand:
         widths_y = [np.mean(b.upper - b.lower) for b in
                     (self._band(y, seed=k + 50)[0] for k in range(6))]
         assert abs(np.mean(widths_x) - np.mean(widths_y)) < 0.25 * np.mean(widths_x)
+
+
+def _band_permuting_the_series(x, cfg, tail_set, window, targets, replicates, seed, level):
+    """Reference band: each replicate permutes x and re-derives everything."""
+    rows = []
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        perm = np.random.default_rng(child).permutation(x)
+        ind = exceedance_indicators(perm, tail_set, threshold_from_quantile(perm, cfg.q))
+        rows.append(smoothed_at_frequencies(ind, targets, window).values)
+    reps = np.sort(np.vstack(rows), axis=0)
+    lo, hi = envelope_order_statistics(replicates, level)
+    return reps[lo - 1], reps[hi - 1]
+
+
+class TestPermutationBandProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(64, 2048),
+        s=st.integers(0, 10),
+        q=st.sampled_from([0.9, 0.95]),
+        seed=st.integers(0, 2**32 - 1),
+        replicates=st.integers(19, 40),
+        fourier=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_band_from_permuted_series(self, n, s, q, seed, replicates, fourier, data):
+        x = sample_noise(StudentT(3), n, seed)
+        cfg, win = EstimatorConfig(q=q, s=s), daniell_window(s)
+        if fourier:
+            ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
+            grid = thin_grid(smoothed_curve(ind, win).grid, data.draw(st.integers(1, 60)))
+        else:
+            # targets between Fourier frequencies, each with an admissible window
+            centers = data.draw(
+                st.lists(st.integers(s + 1, (n - 1) // 2 - s), min_size=1, max_size=20, unique=True)
+            )
+            lams = [2 * math.pi * (j - data.draw(st.floats(0.0, 0.9))) / n for j in centers]
+            grid = FrequencyGrid.from_frequencies(sorted(lams))
+        band = permutation_band(x, cfg, UpperRay(1.0), win, grid, replicates, seed, 0.1)
+        lower, upper = _band_permuting_the_series(
+            x, cfg, UpperRay(1.0), win, grid.freqs, replicates, seed, 0.1
+        )
+        assert np.array_equal(band.lower, lower) and np.array_equal(band.upper, upper)
+
+    def test_memory_bound(self):
+        # documented bound: the B x T replicate matrix plus O(n)
+        n, replicates = 2**13, 99
+        x = sample_noise(StudentT(3), n, 0)
+        cfg, win = EstimatorConfig(q=0.98, s=50), daniell_window(50)
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, cfg.q))
+        grid = smoothed_curve(ind, win).grid
+        tracemalloc.start()
+        try:
+            permutation_band(x, cfg, UpperRay(1.0), win, grid, replicates, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * replicates * len(grid) + 128 * n
 
 
 class TestExponentialDiagnostics:
