@@ -16,15 +16,15 @@ import numpy as np
 import extspec as es
 
 
-def escape_fraction(x: np.ndarray, cfg: es.EstimatorConfig, band_seed: int,
+def escape_fraction(x: np.ndarray, q: float, s: int, band_seed: int,
                     replicates: int) -> float:
-    window = es.daniell_window(cfg.s)
-    thr = es.threshold_from_quantile(x, cfg.q)
+    window = es.daniell_window(s)
+    thr = es.threshold_from_quantile(x, q)
     ind = es.exceedance_indicators(x, es.UpperRay(1.0), thr)
     grid = es.thin_grid(es.smoothed_curve(ind, window).grid, 200)
     values = es.smoothed_at_frequencies(ind, grid.freqs, window).values
     band = es.permutation_band(
-        x, cfg, es.UpperRay(1.0), window, grid,
+        x, q, es.UpperRay(1.0), window, grid,
         replicates=replicates, seed=band_seed, level=0.05,
     )
     return 1.0 - float(band.contains(values).mean())
@@ -39,14 +39,13 @@ def main() -> None:
     ap.add_argument("--half-width", type=int, default=50, dest="s")
     args = ap.parse_args()
 
-    cfg = es.EstimatorConfig(q=args.q, s=args.s)
     arma = es.Arma11Spec(phi=0.8, theta=0.1, noise=es.StudentT(3))
     for label, draw in (
         ("independent t(3)", lambda k: es.sample_noise(es.StudentT(3), args.n, k)),
         ("ARMA(1,1) t(3)", lambda k: es.simulate_arma11(arma, args.n, k)),
     ):
         fractions = [
-            escape_fraction(draw(k), cfg, 1000 + k, args.replicates)
+            escape_fraction(draw(k), args.q, args.s, 1000 + k, args.replicates)
             for k in range(args.seeds)
         ]
         print(

@@ -9,7 +9,6 @@ theoretical curves for ARMA(1,1)-type filters to validate against.
 
 from .core import (
     DegenerateDataError,
-    EstimatorConfig,
     FrequencyGrid,
     IndicatorSeries,
     InputError,
@@ -37,6 +36,7 @@ from .estimators import (
     periodogram,
     sample_extremogram,
     sine_cosine_transforms,
+    smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
     smoothed_periodogram,

@@ -13,10 +13,10 @@ Exit codes: 0 success, 2 parse/configuration error, 3 degenerate data
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from . import estimators, inference, oracles, simulate
 from .core import (
     DegenerateDataError,
-    EstimatorConfig,
     FrequencyGrid,
     InputError,
     Interval,
@@ -234,7 +233,7 @@ def cmd_simulate(args) -> int:
 # analyze
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AnalysisConfig:
     """Resolved analyze-pipeline configuration; round-trips through dicts."""
 
@@ -258,25 +257,14 @@ class AnalysisConfig:
             raise ParameterError("format must be csv or json")
         if self.max_lag < 0:
             raise ParameterError("max lag must be nonnegative")
+        if not 0.0 < self.level < 1.0:
+            raise ParameterError("level must lie in (0, 1)")
         # eagerly validate the parseable pieces
         parse_tail_set(self.tail_set)
         parse_window(self.window)
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "out_dir": self.out_dir,
-            "q": self.q,
-            "tail_set": self.tail_set,
-            "window": self.window,
-            "grid": self.grid,
-            "max_lag": self.max_lag,
-            "band": self.band,
-            "replicates": self.replicates,
-            "band_seed": self.band_seed,
-            "level": self.level,
-            "output_format": self.output_format,
-        }
+        return dataclasses.asdict(self)
 
     def provenance_dict(self) -> dict:
         # everything that determines the numbers; where they are written
@@ -300,8 +288,12 @@ def _write_table(path: Path, comments: list[str], header: list[str], rows) -> No
 
 
 def _write_records_json(path: Path, meta: dict, header: list[str], rows) -> None:
-    records = [{k: float(v) for k, v in zip(header, row)} for row in rows]
-    path.write_text(json.dumps({"config": meta, "rows": records}, indent=2, sort_keys=True) + "\n")
+    # undefined cells (nan) are written as null: JSON has no nan token
+    records = [
+        {k: None if math.isnan(v) else float(v) for k, v in zip(header, row)} for row in rows
+    ]
+    payload = {"config": meta, "rows": records}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_analysis(config: AnalysisConfig) -> dict:
@@ -320,8 +312,6 @@ def run_analysis(config: AnalysisConfig) -> dict:
         raise DegenerateDataError("no observations fall in the tail set")
     window = parse_window(config.window)
     max_lag = min(config.max_lag, n - 1)
-    est_config = EstimatorConfig(q=config.q, s=window.half_width)
-    est_config.validate_for_length(n)
 
     extrem = estimators.sample_extremogram(ind, max_lag)
     se = extrem.stderr()
@@ -329,11 +319,11 @@ def run_analysis(config: AnalysisConfig) -> dict:
     grid = parse_grid(config.grid, n)
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty for this series length")
-    raw = estimators.standardized_periodogram(ind, grid).values
+    raw = estimators.standardized_periodogram(ind, grid)
 
     smoothed = np.full(len(grid), np.nan)
     if grid.fourier and grid.n_ref == n:
-        curve = estimators.smoothed_curve(ind, window)
+        curve = estimators.smooth_ordinates(raw, window)
         # admissible centers are a contiguous run of the Fourier grid
         offset = int(curve.grid.indices[0] - grid.indices[0])
         smoothed[offset : offset + len(curve.grid)] = curve.values
@@ -350,7 +340,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
         else:
             band = inference.permutation_band(
                 x,
-                est_config,
+                config.q,
                 tail_set,
                 window,
                 curve.grid,
@@ -373,7 +363,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
 
     config_line = json.dumps(config.provenance_dict(), sort_keys=True)
     extrem_rows = [(h, extrem.rho[h], se[h]) for h in range(max_lag + 1)]
-    spectrum_rows = list(zip(grid.freqs, raw, smoothed, lower, upper))
+    spectrum_rows = list(zip(grid.freqs, raw.values, smoothed, lower, upper))
     if config.output_format == "csv":
         _write_table(
             extrem_path,
@@ -415,18 +405,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
 
 def cmd_analyze(args) -> int:
     config = AnalysisConfig(
-        input=args.input,
-        out_dir=args.out_dir,
-        q=args.q,
-        tail_set=args.tail_set,
-        window=args.window,
-        grid=args.grid,
-        max_lag=args.max_lag,
-        band=args.band,
-        replicates=args.replicates,
-        band_seed=args.band_seed,
-        level=args.level,
-        output_format=args.format,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisConfig)}
     )
     manifest = run_analysis(config)
     print(
@@ -536,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--replicates", type=int, default=99)
     ana.add_argument("--band-seed", type=int, default=0, dest="band_seed")
     ana.add_argument("--level", type=float, default=0.05)
-    ana.add_argument("--format", choices=["csv", "json"], default="csv")
+    ana.add_argument("--format", choices=["csv", "json"], default="csv", dest="output_format")
     ana.set_defaults(func=cmd_analyze)
 
     orc = sub.add_parser("oracle", help="closed-form curves for overlay")

@@ -295,39 +295,3 @@ def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
         )
     return j0 - s
 
-
-# ---------------------------------------------------------------------------
-# Estimator configuration
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs shared by the spectral estimators.
-
-    ``m`` is the normalization constant; ``None`` selects the canonical
-    choice n / (number of events), under which the scaled event rate is
-    exactly one and all standardized outputs are free of m.  ``r`` is the
-    lag-window truncation, ``s`` the smoothing half-width and ``q`` the
-    threshold quantile.
-    """
-
-    q: float = 0.98
-    m: float | None = None
-    r: int = 0
-    s: int = 50
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ParameterError("quantile q must lie in (0, 1)")
-        if self.m is not None and not self.m > 0:
-            raise ParameterError("normalization m must be positive")
-        if self.r < 0:
-            raise ParameterError("lag-window truncation r must be nonnegative")
-        if self.s < 0:
-            raise ParameterError("smoothing half-width s must be nonnegative")
-
-    def validate_for_length(self, n: int) -> None:
-        if self.r >= n:
-            raise ParameterError(f"lag-window truncation r={self.r} must be below n={n}")
-        if self.s >= n / 2:
-            raise ParameterError(f"smoothing half-width s={self.s} must be below n/2")

@@ -159,12 +159,18 @@ def sample_extremogram(ind: IndicatorSeries, max_lag: int) -> Extremogram:
         raise DegenerateDataError("no tail events: extremogram undefined")
     if not 0 <= max_lag < ind.n:
         raise ParameterError("need 0 <= max_lag < n")
-    bits = ind.bits.astype(float)
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
-    for h in range(1, max_lag + 1):
-        rho[h] = float(np.dot(bits[:-h], bits[h:])) / ind.n_events
+    rho[1:] = _lag_products(ind.bits.astype(float), max_lag) / ind.n_events
     return Extremogram(rho=rho, n_events=ind.n_events)
+
+
+def _lag_products(v: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_t v_t v_{t+h} for h = 1..max_lag."""
+    out = np.empty(max_lag)
+    for h in range(1, max_lag + 1):
+        out[h - 1] = np.dot(v[:-h], v[h:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +230,9 @@ def sine_cosine_transforms(ind: IndicatorSeries, lam: float, m: float | None = N
     frequencies of n the centering provably has no effect because the
     complex exponentials sum to zero over a full period.
     """
-    if not 0.0 < lam < math.pi:
-        raise ParameterError("frequency must lie in (0, pi)")
-    m = _resolve_m(ind, m)
-    centered = ind.centered()
-    t = np.arange(1, ind.n + 1)
-    scale = math.sqrt(2.0 * m / ind.n)
-    ang = lam * t
-    return SineCosinePair(
-        alpha=scale * float(np.dot(centered, np.cos(ang))),
-        beta=scale * float(np.dot(centered, np.sin(ang))),
-        freq=lam,
-    )
+    (cos_sum,), (sin_sum,) = _direct_sums(ind.centered(), FrequencyGrid.from_frequencies([lam]))
+    scale = math.sqrt(2.0 * _resolve_m(ind, m) / ind.n)
+    return SineCosinePair(alpha=scale * float(cos_sum), beta=scale * float(sin_sum), freq=lam)
 
 
 def periodogram(
@@ -292,17 +289,8 @@ def lag_window_estimate(
     The truncation may produce negative values; they are reported as-is.
     With ``standardized`` the result is divided by the scaled event rate.
     """
-    if not 0 <= r < ind.n:
-        raise ParameterError("need 0 <= r < n")
-    m = _resolve_m(ind, m)
-    _warn_if_truncation_outruns(ind, r, m)
-    centered = ind.centered()
-    acc = m / ind.n * ind.n_events
-    for h in range(1, r + 1):
-        acc += 2.0 * math.cos(lam * h) * (m / ind.n) * float(np.dot(centered[:-h], centered[h:]))
-    if standardized:
-        acc /= tail_event_rate(ind, m)
-    return float(acc)
+    grid = FrequencyGrid.from_frequencies([lam])
+    return float(lag_window_curve(ind, grid, r, m, standardized).values[0])
 
 
 def lag_window_curve(
@@ -323,11 +311,9 @@ def lag_window_curve(
         raise ParameterError("frequency grid is empty")
     m = _resolve_m(ind, m)
     _warn_if_truncation_outruns(ind, r, m)
-    centered = ind.centered()
     gammas = np.empty(r + 1)
     gammas[0] = m / ind.n * ind.n_events
-    for h in range(1, r + 1):
-        gammas[h] = (m / ind.n) * float(np.dot(centered[:-h], centered[h:]))
+    gammas[1:] = (m / ind.n) * _lag_products(ind.centered(), r)
     h = np.arange(1, r + 1)
     values = gammas[0] + 2.0 * (np.cos(np.outer(grid.freqs, h)) @ gammas[1:])
     if standardized:
@@ -351,39 +337,49 @@ def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstima
     Admissible centers are those whose full smoothing window stays
     inside (0, pi).  One FFT pass supplies all ordinates.
     """
-    full = fourier_grid(ind.n)
+    return smooth_ordinates(standardized_periodogram(ind, fourier_grid(ind.n)), window)
+
+
+def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> SpectralEstimate:
+    """Window sums of standardized ordinates given on the full Fourier grid of n.
+
+    The result lives on the admissible centers, the Fourier frequencies
+    whose full smoothing window stays inside (0, pi); callers that already
+    hold the ordinates (as ``analyze`` does) smooth them without a second
+    FFT.
+    """
+    full = ordinates.grid
+    if ordinates.kind != "standardized_periodogram" or not (
+        full.fourier and len(full) == math.ceil(full.n_ref / 2) - 1
+    ):
+        raise ParameterError("smoothing needs standardized ordinates on the full Fourier grid")
     s = window.half_width
     if len(full) < 2 * s + 1:
         raise ParameterError("series too short for this smoothing half-width")
     grid = FrequencyGrid(
         freqs=full.freqs[s : len(full) - s],
         fourier=True,
-        n_ref=ind.n,
+        n_ref=full.n_ref,
         indices=full.indices[s : len(full) - s],
     )
-    # the windows starting at j = 1, 2, ... are exactly the admissible ones
-    vals = smoothed_window_sums(ind.centered(), ind.n_events, window, slice(1, len(grid) + 1))
+    vals = np.correlate(ordinates.values, window.weights, mode="valid")
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
 
 
 def smoothed_window_sums(centered: np.ndarray, n_events: int, window: WeightWindow, starts):
     """Window sums of the standardized ordinates |sum_t c_t e^(-i t lam_j)|^2 / n_events.
 
-    ``starts`` picks the windows by their first Fourier index: an index
-    array as returned by :func:`~extspec.core.smoothing_window_starts`, or
-    a slice with explicit bounds for a contiguous run.  One real FFT of the
-    centered indicators supplies the ordinates; only the span from the
-    first to the last window is squared and correlated.
+    ``starts`` picks the windows by their first Fourier index, an index
+    array as returned by :func:`~extspec.core.smoothing_window_starts`.
+    One real FFT of the centered indicators supplies the ordinates; only
+    the span from the first to the last window is squared and correlated.
     """
     if n_events < 1:
         raise DegenerateDataError("no tail events: smoothed periodogram undefined")
-    run = starts
-    if not isinstance(starts, slice):
-        lo = int(starts.min()) if starts.size else 1
-        run = slice(lo, int(starts.max(initial=lo)) + 1)
-    std = _fft_power(centered, slice(run.start, run.stop + window.weights.size - 1)) / n_events
-    sums = np.correlate(std, window.weights, mode="valid")
-    return sums if run is starts else sums[starts - run.start]
+    lo = int(starts.min()) if starts.size else 1
+    hi = int(starts.max(initial=lo)) + window.weights.size
+    std = _fft_power(centered, slice(lo, hi)) / n_events
+    return np.correlate(std, window.weights, mode="valid")[starts - lo]
 
 
 def smoothed_at_frequencies(

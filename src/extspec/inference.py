@@ -17,7 +17,6 @@ from scipy import stats
 
 from .core import (
     DegenerateDataError,
-    EstimatorConfig,
     FrequencyGrid,
     ParameterError,
     TailSet,
@@ -95,7 +94,7 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
 
 def permutation_band(
     series,
-    config: EstimatorConfig,
+    q: float,
     tail_set: TailSet,
     window: WeightWindow,
     grid: FrequencyGrid,
@@ -105,7 +104,7 @@ def permutation_band(
 ) -> Band:
     """Empirical envelope of smoothed curves over random permutations.
 
-    A permutation of the series leaves its quantile threshold and event
+    A permutation of the series leaves its ``q``-quantile threshold and event
     count unchanged and moves only the event positions, so the indicators
     are derived once and each replicate permutes their centered values
     and recomputes the smoothed standardized curve on ``grid`` (the tail
@@ -128,7 +127,7 @@ def permutation_band(
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty")
 
-    ind = exceedance_indicators(series, tail_set, threshold_from_quantile(series, config.q))
+    ind = exceedance_indicators(series, tail_set, threshold_from_quantile(series, q))
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     centered = ind.centered()
     reps = np.empty((replicates, len(grid)))

@@ -337,15 +337,15 @@ def test_criterion_8_permutation_band_discriminates():
     """i.i.d. curve stays inside the permutation envelope; ARMA escapes."""
     t0 = time.time()
     win = es.daniell_window(50)
-    cfg = es.EstimatorConfig(q=0.98, s=50)
+    q = 0.98
 
     def inside_fraction(x, band_seed):
-        thr = es.threshold_from_quantile(x, cfg.q)
+        thr = es.threshold_from_quantile(x, q)
         ind = es.exceedance_indicators(x, es.UpperRay(1.0), thr)
         grid = es.thin_grid(es.smoothed_curve(ind, win).grid, 200)
         vals = es.smoothed_at_frequencies(ind, grid.freqs, win).values
         band = es.permutation_band(
-            x, cfg, es.UpperRay(1.0), win, grid, replicates=99, seed=band_seed, level=0.05
+            x, q, es.UpperRay(1.0), win, grid, replicates=99, seed=band_seed, level=0.05
         )
         return float(band.contains(vals).mean())
 

@@ -64,6 +64,11 @@ class TestParsers:
         cfg = AnalysisConfig(input="a.csv", out_dir="out", q=0.95, band="surrogate")
         assert AnalysisConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_analysis_config_level_in_unit_interval(self):
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ParameterError):
+                AnalysisConfig(input="a.csv", out_dir="out", level=bad)
+
 
 class TestReadSeries:
     def test_plain_column(self, tmp_path):
@@ -195,10 +200,23 @@ class TestAnalyzeCommand:
 
     def test_json_format(self, sim_file, tmp_path):
         out = tmp_path / "runj"
-        assert run(["analyze", "--input", sim_file, "--out-dir", out, "--q", 0.95,
-                    "--window", "daniell:10", "--format", "json"]) == 0
-        payload = json.loads((out / "spectrum.json").read_text())
-        assert payload["rows"][0].keys() == {"lambda", "raw", "smoothed", "lower", "upper"}
+        args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10"]
+        assert run(args + ["--out-dir", out, "--format", "json"]) == 0
+        assert run(args + ["--out-dir", tmp_path / "runc"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        payload = json.loads((out / "spectrum.json").read_text(), parse_constant=reject)
+        header = ["lambda", "raw", "smoothed", "lower", "upper"]
+        assert payload["rows"][0].keys() == set(header)
+        # undefined cells are null in JSON where the CSV has nan
+        csv_rows = data_rows(tmp_path / "runc" / "spectrum.csv")[1:]
+        assert len(csv_rows) == len(payload["rows"])
+        for line, record in zip(csv_rows, payload["rows"]):
+            for key, cell in zip(header, line.split(",")):
+                assert (record[key] is None) == (cell == "nan")
+        assert any(record["smoothed"] is None for record in payload["rows"])
 
     def test_permutation_band_reruns_identical(self, sim_file, tmp_path):
         args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
@@ -208,6 +226,26 @@ class TestAnalyzeCommand:
         assert run(args + ["--out-dir", out1]) == 0
         assert run(args + ["--out-dir", out2]) == 0
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+
+    def test_too_wide_window_exit_2(self, sim_file, tmp_path, capsys):
+        # n = 4096: a half-width of n/2 leaves no admissible window on any grid
+        for grid in ("fourier", "list:0.5,1.5"):
+            assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "w",
+                        "--q", 0.95, "--window", "daniell:2048", "--grid", grid]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_fft_per_run(self, sim_file, tmp_path, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "f", "--q", 0.95,
+                    "--window", "daniell:10", "--band", "surrogate"]) == 0
+        assert len(calls) == 1
 
     def test_custom_grid_rows(self, sim_file, tmp_path):
         out = tmp_path / "g"

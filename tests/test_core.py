@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
-    EstimatorConfig,
     InputError,
     Interval,
     LowerRay,
@@ -221,22 +220,3 @@ class TestSmoothingGrid:
         with pytest.raises(ParameterError):
             smoothing_grid(0.3, 100, s_max + 1)
 
-
-class TestEstimatorConfig:
-    def test_defaults_valid(self):
-        cfg = EstimatorConfig()
-        cfg.validate_for_length(4096)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            EstimatorConfig(q=1.2)
-        with pytest.raises(ParameterError):
-            EstimatorConfig(m=0.0)
-        with pytest.raises(ParameterError):
-            EstimatorConfig(r=-1)
-
-    def test_length_constraints(self):
-        with pytest.raises(ParameterError):
-            EstimatorConfig(r=100).validate_for_length(50)
-        with pytest.raises(ParameterError):
-            EstimatorConfig(s=30).validate_for_length(59)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from extspec import (
@@ -18,12 +18,14 @@ from extspec import (
     daniell_window,
     exceedance_indicators,
     fourier_grid,
+    lag_window_curve,
     lag_window_estimate,
     periodogram,
     sample_extremogram,
     sample_noise,
     simulate_arma11,
     sine_cosine_transforms,
+    smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
     smoothed_periodogram,
@@ -51,6 +53,12 @@ class TestEventRate:
     def test_single_event_with_m_equal_n(self, make_indicators):
         ind = make_indicators([0, 0, 1, 0])
         assert tail_event_rate(ind, m=4.0) == pytest.approx(1.0, abs=0)
+
+    def test_nonpositive_m_rejected(self, make_indicators):
+        ind = make_indicators([0, 0, 1, 0])
+        for bad in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                tail_event_rate(ind, m=bad)
 
     def test_zero_events(self, make_indicators):
         ind = make_indicators([0, 0, 0])
@@ -172,14 +180,16 @@ class TestPeriodogram:
             pair = sine_cosine_transforms(ind, grid.freqs[i], m=7.0)
             assert est.values[i] == pytest.approx(pair.power(), abs=1e-10)
 
-    def test_direct_and_fft_paths_agree(self, make_indicators):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            ind = random_indicators(make_indicators, rng, n=int(rng.integers(64, 1025)))
-            grid = fourier_grid(ind.n)
-            d = standardized_periodogram(ind, grid, method="direct").values
-            f = standardized_periodogram(ind, grid, method="fft").values
-            assert np.max(np.abs(d - f)) < 1e-10
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(n=st.integers(8, 2048), rate=st.floats(0.005, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_direct_and_fft_paths_agree(self, make_indicators, n, rate, seed):
+        ind = random_indicators(make_indicators, np.random.default_rng(seed), n=n, rate=rate)
+        grid = fourier_grid(ind.n)
+        d = standardized_periodogram(ind, grid, method="direct").values
+        f = standardized_periodogram(ind, grid, method="fft").values
+        assert np.max(np.abs(d - f)) < 1e-10
 
     def test_fft_requires_matching_grid(self, make_indicators):
         ind = make_indicators([1, 0, 0, 1, 0, 0, 1, 0])
@@ -250,17 +260,31 @@ class TestLagWindow:
     def test_matches_direct_formula(self, make_indicators):
         rng = np.random.default_rng(29)
         ind = random_indicators(make_indicators, rng, n=128)
-        lam, r, m = 0.9, 6, 3.0
+        r, m = 6, 3.0
         c = ind.centered()
-        expected = m / 128 * ind.n_events
-        for h in range(1, r + 1):
-            expected += 2 * math.cos(lam * h) * (m / 128) * float(np.dot(c[:-h], c[h:]))
-        assert lag_window_estimate(ind, lam, r, m=m) == pytest.approx(expected, abs=1e-12)
+
+        def expected(lam):
+            acc = m / 128 * ind.n_events
+            for h in range(1, r + 1):
+                acc += 2 * math.cos(lam * h) * (m / 128) * float(np.dot(c[:-h], c[h:]))
+            return acc
+
+        assert lag_window_estimate(ind, 0.9, r, m=m) == pytest.approx(expected(0.9), abs=1e-12)
+        lams = [0.05, 0.9, 1.7, 2.6, 3.1]
+        curve = lag_window_curve(ind, FrequencyGrid.from_frequencies(lams), r, m=m)
+        for lam, got in zip(lams, curve.values):
+            assert got == pytest.approx(expected(lam), abs=1e-12)
 
     def test_truncation_bound(self, make_indicators):
         ind = make_indicators([1, 0, 1, 0])
         with pytest.raises(ParameterError):
             lag_window_estimate(ind, 1.0, 4)
+
+    def test_frequency_domain_restriction(self, make_indicators):
+        ind = make_indicators([1, 0, 1, 0, 0, 1])
+        for lam in (0.0, math.pi, -1.0):
+            with pytest.raises(ParameterError):
+                lag_window_estimate(ind, lam, 2)
 
     def test_can_go_negative(self, make_indicators):
         # a period-2 event pattern concentrates all mass near the top
@@ -291,8 +315,6 @@ class TestLagWindow:
         )
 
     def test_curve_matches_pointwise_and_may_go_negative(self, make_indicators):
-        from extspec import lag_window_curve
-
         rng = np.random.default_rng(31)
         ind = random_indicators(make_indicators, rng, n=256)
         grid = fourier_grid(64)
@@ -398,6 +420,18 @@ class TestSmoothedPeriodogram:
         k = seed % len(curve.values)
         part = smoothed_at_frequencies(ind, curve.grid.freqs[k::3], w)
         assert np.array_equal(curve.values[k::3], part.values)
+
+    def test_smooth_ordinates_needs_full_fourier_grid(self, make_indicators):
+        ind = random_indicators(make_indicators, np.random.default_rng(47), n=256)
+        w = daniell_window(3)
+        full = standardized_periodogram(ind, fourier_grid(256))
+        assert np.array_equal(smooth_ordinates(full, w).values, smoothed_curve(ind, w).values)
+        for bad in (
+            periodogram(ind, fourier_grid(256)),
+            standardized_periodogram(ind, FrequencyGrid.from_frequencies([0.5, 1.0, 1.5])),
+        ):
+            with pytest.raises(ParameterError, match="full Fourier grid"):
+                smooth_ordinates(bad, w)
 
     def test_nonnegative(self, make_indicators):
         rng = np.random.default_rng(43)

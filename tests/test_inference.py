@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from extspec import (
     Band,
-    EstimatorConfig,
     FrequencyGrid,
     ParameterError,
     SpectralDensityOracle,
@@ -97,13 +96,12 @@ class TestEnvelopeOrderStatistics:
 class TestPermutationBand:
     @staticmethod
     def _band(x, seed, replicates=49, level=0.05, s=10):
-        cfg = EstimatorConfig(q=0.95, s=s)
-        win = daniell_window(s)
-        thr = threshold_from_quantile(x, cfg.q)
+        q, win = 0.95, daniell_window(s)
+        thr = threshold_from_quantile(x, q)
         ind = exceedance_indicators(x, UpperRay(1.0), thr)
         grid = thin_grid(smoothed_curve(ind, win).grid, 40)
         band = permutation_band(
-            x, cfg, UpperRay(1.0), win, grid,
+            x, q, UpperRay(1.0), win, grid,
             replicates=replicates, seed=seed, level=level,
         )
         vals = smoothed_at_frequencies(ind, grid.freqs, win).values
@@ -111,18 +109,16 @@ class TestPermutationBand:
 
     def test_replicate_count_validation(self):
         x = sample_noise(StudentT(3), 512, 0)
-        cfg = EstimatorConfig(q=0.9, s=2)
         grid = fourier_grid(512)
         for bad in (0, 1):
             with pytest.raises(ParameterError):
-                permutation_band(x, cfg, UpperRay(1.0), daniell_window(2), grid, bad, 0)
+                permutation_band(x, 0.9, UpperRay(1.0), daniell_window(2), grid, bad, 0)
 
     def test_small_replicate_count_warns(self):
         x = sample_noise(StudentT(3), 512, 0)
-        cfg = EstimatorConfig(q=0.9, s=2)
         grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
         with pytest.warns(UserWarning, match="envelope"):
-            permutation_band(x, cfg, UpperRay(1.0), daniell_window(2), grid, 5, 0)
+            permutation_band(x, 0.9, UpperRay(1.0), daniell_window(2), grid, 5, 0)
 
     def test_deterministic_given_seed(self):
         x = sample_noise(StudentT(3), 2048, 3)
@@ -154,12 +150,12 @@ class TestPermutationBand:
         assert abs(np.mean(widths_x) - np.mean(widths_y)) < 0.25 * np.mean(widths_x)
 
 
-def _band_permuting_the_series(x, cfg, tail_set, window, targets, replicates, seed, level):
+def _band_permuting_the_series(x, q, tail_set, window, targets, replicates, seed, level):
     """Reference band: each replicate permutes x and re-derives everything."""
     rows = []
     for child in np.random.SeedSequence(seed).spawn(replicates):
         perm = np.random.default_rng(child).permutation(x)
-        ind = exceedance_indicators(perm, tail_set, threshold_from_quantile(perm, cfg.q))
+        ind = exceedance_indicators(perm, tail_set, threshold_from_quantile(perm, q))
         rows.append(smoothed_at_frequencies(ind, targets, window).values)
     reps = np.sort(np.vstack(rows), axis=0)
     lo, hi = envelope_order_statistics(replicates, level)
@@ -179,7 +175,7 @@ class TestPermutationBandProperties:
     )
     def test_equals_band_from_permuted_series(self, n, s, q, seed, replicates, fourier, data):
         x = sample_noise(StudentT(3), n, seed)
-        cfg, win = EstimatorConfig(q=q, s=s), daniell_window(s)
+        win = daniell_window(s)
         if fourier:
             ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
             grid = thin_grid(smoothed_curve(ind, win).grid, data.draw(st.integers(1, 60)))
@@ -190,9 +186,9 @@ class TestPermutationBandProperties:
             )
             lams = [2 * math.pi * (j - data.draw(st.floats(0.0, 0.9))) / n for j in centers]
             grid = FrequencyGrid.from_frequencies(sorted(lams))
-        band = permutation_band(x, cfg, UpperRay(1.0), win, grid, replicates, seed, 0.1)
+        band = permutation_band(x, q, UpperRay(1.0), win, grid, replicates, seed, 0.1)
         lower, upper = _band_permuting_the_series(
-            x, cfg, UpperRay(1.0), win, grid.freqs, replicates, seed, 0.1
+            x, q, UpperRay(1.0), win, grid.freqs, replicates, seed, 0.1
         )
         assert np.array_equal(band.lower, lower) and np.array_equal(band.upper, upper)
 
@@ -200,12 +196,12 @@ class TestPermutationBandProperties:
         # documented bound: the B x T replicate matrix plus O(n)
         n, replicates = 2**13, 99
         x = sample_noise(StudentT(3), n, 0)
-        cfg, win = EstimatorConfig(q=0.98, s=50), daniell_window(50)
-        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, cfg.q))
+        q, win = 0.98, daniell_window(50)
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
         grid = smoothed_curve(ind, win).grid
         tracemalloc.start()
         try:
-            permutation_band(x, cfg, UpperRay(1.0), win, grid, replicates, 1)
+            permutation_band(x, q, UpperRay(1.0), win, grid, replicates, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
