@@ -21,11 +21,12 @@ def escape_fraction(x: np.ndarray, q: float, s: int, band_seed: int,
     window = es.daniell_window(s)
     thr = es.threshold_from_quantile(x, q)
     ind = es.exceedance_indicators(x, es.UpperRay(1.0), thr)
-    grid = es.thin_grid(es.smoothed_curve(ind, window).grid, 200)
-    values = es.smoothed_at_frequencies(ind, grid.freqs, window).values
+    curve = es.smoothed_curve(ind, window)
+    grid = es.thin_grid(curve.grid, 200)
+    # thin_grid picks a subset of the curve's frequencies: read the values off it
+    values = curve.values[np.searchsorted(curve.grid.freqs, grid.freqs)]
     band = es.permutation_band(
-        x, q, es.UpperRay(1.0), window, grid,
-        replicates=replicates, seed=band_seed, level=0.05,
+        ind, window, grid, replicates=replicates, seed=band_seed, level=0.05
     )
     return 1.0 - float(band.contains(values).mean())
 

@@ -21,7 +21,6 @@ from .core import (
     as_series,
     exceedance_indicators,
     fourier_grid,
-    smoothing_grid,
     threshold_from_quantile,
 )
 from .estimators import (

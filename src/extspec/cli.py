@@ -37,8 +37,7 @@ from .core import (
 )
 from .trigsums import SingularFrequencyError
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_CHUNK_ROWS = 2**16  # rows formatted per write: bounds the writer's memory
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -127,22 +126,25 @@ def read_series_csv(path) -> np.ndarray:
         raise InputError(f"input file not found: {path}")
     values: list[float] = []
     header_allowed = True
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            cell = text.split(",")[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if header_allowed and not values:
-                    header_allowed = False
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text or text.startswith("#"):
                     continue
-                raise InputError(f"{path}: line {lineno}: not a number: {cell!r}") from None
-            if not math.isfinite(values[-1]):
-                raise InputError(f"{path}: line {lineno}: non-finite value: {cell!r}")
-            header_allowed = False
+                cell = text.split(",")[0].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if header_allowed and not values:
+                        header_allowed = False
+                        continue
+                    raise InputError(f"{path}: line {lineno}: not a number: {cell!r}") from None
+                if not math.isfinite(values[-1]):
+                    raise InputError(f"{path}: line {lineno}: non-finite value: {cell!r}")
+                header_allowed = False
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if not values:
         raise InputError(f"{path}: no numeric rows found")
     return np.asarray(values, dtype=float)
@@ -219,12 +221,12 @@ def cmd_simulate(args) -> int:
         burnin = 0
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as fh:
-        fh.write(f"# extspec simulate {args.model}\n")
-        fh.write(f"# spec = {json.dumps(desc, sort_keys=True)}\n")
-        fh.write(f"# n = {args.n}, seed = {args.seed}, burnin = {burnin}\n")
-        for v in x:
-            fh.write(_fmt(v) + "\n")
+    comments = [
+        f"extspec simulate {args.model}",
+        f"spec = {json.dumps(desc, sort_keys=True)}",
+        f"n = {args.n}, seed = {args.seed}, burnin = {burnin}",
+    ]
+    _write_table(out, comments, {"x": x}, header=False)
     print(f"wrote {args.n} values to {out}")
     return 0
 
@@ -278,19 +280,25 @@ class AnalysisConfig:
         return cls(**{"out_dir": ".", **payload})
 
 
-def _write_table(path: Path, comments: list[str], header: list[str], rows) -> None:
+def _write_table(path: Path, comments: list[str], columns: dict, header: bool = True) -> None:
+    """Write named 1-d columns as ``.17g`` CSV text, ``_CHUNK_ROWS`` rows at a time."""
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
     with path.open("w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if header:
+            fh.write(",".join(columns) + "\n")
+        for start in range(0, cols[0].size, _CHUNK_ROWS):
+            chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in cols])
+            fh.write((row * len(chunk)).format(*chunk.ravel().tolist()))
 
 
-def _write_records_json(path: Path, meta: dict, header: list[str], rows) -> None:
+def _write_records_json(path: Path, meta: dict, columns: dict) -> None:
     # undefined cells (nan) are written as null: JSON has no nan token
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
     records = [
-        {k: None if math.isnan(v) else float(v) for k, v in zip(header, row)} for row in rows
+        {k: None if math.isnan(v) else v for k, v in zip(columns, values)} for values in zip(*cols)
     ]
     payload = {"config": meta, "rows": records}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -339,9 +347,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
             band = inference.surrogate_band(curve, window)
         else:
             band = inference.permutation_band(
-                x,
-                config.q,
-                tail_set,
+                ind,
                 window,
                 curve.grid,
                 replicates=config.replicates,
@@ -357,36 +363,24 @@ def run_analysis(config: AnalysisConfig) -> dict:
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if config.output_format == "csv" else "json"
-    extrem_path = out_dir / f"extremogram.{ext}"
-    spectrum_path = out_dir / f"spectrum.{ext}"
-
+    tables = {
+        "extremogram": {"h": np.arange(max_lag + 1), "rho": extrem.rho, "stderr": se},
+        "spectrum": {
+            "lambda": grid.freqs,
+            "raw": raw.values,
+            "smoothed": smoothed,
+            "lower": lower,
+            "upper": upper,
+        },
+    }
+    outputs = {name: f"{name}.{config.output_format}" for name in tables}
     config_line = json.dumps(config.provenance_dict(), sort_keys=True)
-    extrem_rows = [(h, extrem.rho[h], se[h]) for h in range(max_lag + 1)]
-    spectrum_rows = list(zip(grid.freqs, raw.values, smoothed, lower, upper))
-    if config.output_format == "csv":
-        _write_table(
-            extrem_path,
-            [f"extspec analyze: config = {config_line}"],
-            ["h", "rho", "stderr"],
-            extrem_rows,
-        )
-        _write_table(
-            spectrum_path,
-            [f"extspec analyze: config = {config_line}"],
-            ["lambda", "raw", "smoothed", "lower", "upper"],
-            spectrum_rows,
-        )
-    else:
-        _write_records_json(
-            extrem_path, config.provenance_dict(), ["h", "rho", "stderr"], extrem_rows
-        )
-        _write_records_json(
-            spectrum_path,
-            config.provenance_dict(),
-            ["lambda", "raw", "smoothed", "lower", "upper"],
-            spectrum_rows,
-        )
+    for name, columns in tables.items():
+        path = out_dir / outputs[name]
+        if config.output_format == "csv":
+            _write_table(path, [f"extspec analyze: config = {config_line}"], columns)
+        else:
+            _write_records_json(path, config.provenance_dict(), columns)
 
     manifest = {
         "command": "analyze",
@@ -397,7 +391,7 @@ def run_analysis(config: AnalysisConfig) -> dict:
         "events": ind.n_events,
         "event_rate": ind.p0_hat,
         "band": band_info,
-        "outputs": {"extremogram": extrem_path.name, "spectrum": spectrum_path.name},
+        "outputs": outputs,
     }
     _write_manifest(out_dir / "manifest.json", manifest)
     return manifest
@@ -446,14 +440,12 @@ def cmd_oracle(args) -> int:
     _write_table(
         out_dir / "oracle_spectrum.csv",
         [params_line, f"provenance = {oracle.provenance}"],
-        ["lambda", "density"],
-        zip(grid.freqs, density),
+        {"lambda": grid.freqs, "density": density},
     )
     _write_table(
         out_dir / "oracle_extremogram.csv",
         [params_line],
-        ["h", "rho"],
-        enumerate(rho_closed),
+        {"h": np.arange(rho_closed.size), "rho": rho_closed},
     )
     manifest = {
         "command": "oracle",

@@ -254,23 +254,13 @@ def fourier_grid(n: int) -> FrequencyGrid:
     return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
 
 
-def smoothing_grid(lam: float, n: int, s: int) -> FrequencyGrid:
-    """The 2s+1 Fourier frequencies of n centered at the first Fourier
-    frequency at or above ``lam``.
-
-    Rejects windows that would leave the open interval (0, pi); the error
-    message reports the largest admissible half-width for this frequency.
-    """
-    j = smoothing_window_starts(lam, n, s)[0] + np.arange(2 * s + 1)
-    return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
-
-
 def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
     """First Fourier index j0 - s of the smoothing window around each target.
 
     j0 is the first Fourier index of n whose frequency is at or above the
     target frequency.  The first target whose window would leave (0, pi)
-    is rejected as in :func:`smoothing_grid`.
+    is rejected; the error message reports the largest admissible
+    half-width around that target.
     """
     if s < 0:
         raise ParameterError("smoothing half-width must be nonnegative")

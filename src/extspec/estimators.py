@@ -108,6 +108,8 @@ class WeightWindow:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size != 2 * self.half_width + 1:
             raise ParameterError("need 2s+1 weights for half-width s")
+        if not np.all(np.isfinite(w)):
+            raise ParameterError("weights must be finite")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
         total = w.sum()

@@ -18,11 +18,9 @@ from scipy import stats
 from .core import (
     DegenerateDataError,
     FrequencyGrid,
+    IndicatorSeries,
     ParameterError,
-    TailSet,
-    exceedance_indicators,
     smoothing_window_starts,
-    threshold_from_quantile,
 )
 from .estimators import (
     SpectralEstimate,
@@ -92,10 +90,12 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     return lo, hi
 
 
+# largest B x T replicate matrix permutation_band allocates: 8*B*T bytes
+BAND_MAX_BYTES = 2**30
+
+
 def permutation_band(
-    series,
-    q: float,
-    tail_set: TailSet,
+    ind: IndicatorSeries,
     window: WeightWindow,
     grid: FrequencyGrid,
     replicates: int,
@@ -104,30 +104,38 @@ def permutation_band(
 ) -> Band:
     """Empirical envelope of smoothed curves over random permutations.
 
-    A permutation of the series leaves its ``q``-quantile threshold and event
-    count unchanged and moves only the event positions, so the indicators
-    are derived once and each replicate permutes their centered values
-    and recomputes the smoothed standardized curve on ``grid`` (the tail
-    set must test each scaled observation on its own).  The band is the
-    pointwise pair of order statistics ceil((level/2)(B+1)) and
-    floor((1-level/2)(B+1)) among the B replicates.  The observed series
-    itself is not included among the replicates.
+    Each replicate permutes the centered values of the indicator series
+    it is given and recomputes the smoothed standardized curve on
+    ``grid``.  When the tail set tests each scaled observation on its own,
+    this is the band of permuted observation series: a permutation leaves
+    the quantile threshold and the event count unchanged and moves only
+    the event positions.  The band is the pointwise pair of order
+    statistics ceil((level/2)(B+1)) and floor((1-level/2)(B+1)) among the
+    B replicates.  The observed series itself is not included among the
+    replicates.
 
     Replicate b draws its permutation from the b-th child of
     ``SeedSequence(seed)``, so the result depends only on ``seed``.
-    Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid)),
-    sorted in place, plus O(n) for one replicate at a time.
+    Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid), at
+    most ``BAND_MAX_BYTES``), sorted in place, plus O(n) for one replicate
+    at a time.
     """
     lo_k, hi_k = envelope_order_statistics(replicates, level)
+    if seed < 0:
+        raise ParameterError("band seed must be a nonnegative integer")
+    if len(grid) == 0:
+        raise ParameterError("frequency grid is empty")
+    if 8 * replicates * len(grid) > BAND_MAX_BYTES:
+        raise ParameterError(
+            f"{replicates} replicates on {len(grid)} frequencies need "
+            f"{8 * replicates * len(grid)} bytes, above the {BAND_MAX_BYTES}-byte limit"
+        )
     if replicates < 19:
         warnings.warn(
             f"{replicates} replicates cannot resolve a 95% envelope; use 19 or more",
             stacklevel=2,
         )
-    if len(grid) == 0:
-        raise ParameterError("frequency grid is empty")
 
-    ind = exceedance_indicators(series, tail_set, threshold_from_quantile(series, q))
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     centered = ind.centered()
     reps = np.empty((replicates, len(grid)))

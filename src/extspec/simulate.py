@@ -80,6 +80,8 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("need n >= 1")
+    if seed < 0:
+        raise ParameterError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     if isinstance(spec, ParetoBalanced):
         u = 1.0 - rng.random(n)  # uniform on (0, 1]; keeps U**(-1/alpha) finite
@@ -198,6 +200,8 @@ class MaxMaSpec:
         psi = tuple(float(c) for c in np.atleast_1d(np.asarray(self.psi, dtype=float)))
         if len(psi) == 0:
             raise ParameterError("coefficient list is empty")
+        if not all(math.isfinite(c) for c in psi):
+            raise ParameterError("max-moving-average coefficients must be finite")
         if all(c == 0.0 for c in psi):
             raise ParameterError("all max-moving-average coefficients are zero: degenerate process")
         if not self.truncation_eps > 0:

@@ -344,9 +344,7 @@ def test_criterion_8_permutation_band_discriminates():
         ind = es.exceedance_indicators(x, es.UpperRay(1.0), thr)
         grid = es.thin_grid(es.smoothed_curve(ind, win).grid, 200)
         vals = es.smoothed_at_frequencies(ind, grid.freqs, win).values
-        band = es.permutation_band(
-            x, q, es.UpperRay(1.0), win, grid, replicates=99, seed=band_seed, level=0.05
-        )
+        band = es.permutation_band(ind, win, grid, replicates=99, seed=band_seed, level=0.05)
         return float(band.contains(vals).mean())
 
     iid_inside = [

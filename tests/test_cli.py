@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from extspec.cli import (
     AnalysisConfig,
+    _write_table,
     main,
     parse_grid,
     parse_noise,
@@ -24,6 +26,15 @@ def data_rows(path):
     return [
         line for line in path.read_text().splitlines() if line and not line.startswith("#")
     ]
+
+
+def single_error(capsys):
+    """The one ``error:`` line a rejected command prints; no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
 
 
 class TestParsers:
@@ -93,6 +104,25 @@ class TestReadSeries:
             read_series_csv(tmp_path / "nope.csv")
 
 
+class TestWriteTable:
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # the writer formats one chunk of rows at a time, so its peak is set
+        # by the chunk size: 2^19 rows peak where 2^17 rows do
+        rng = np.random.default_rng(0)
+        out = tmp_path / "t.csv"
+        peaks = {}
+        for rows in (2**17, 2**19):
+            columns = {name: rng.standard_normal(rows) for name in "abcde"}
+            tracemalloc.start()
+            try:
+                _write_table(out, ["five columns"], columns)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.read_bytes().count(b"\n") == rows + 2  # comment, header, rows
+        assert peaks[2**19] <= 1.05 * peaks[2**17]
+
+
 class TestSimulateCommand:
     def test_row_count(self, tmp_path):
         out = tmp_path / "iid.csv"
@@ -136,6 +166,20 @@ class TestSimulateCommand:
     def test_bad_noise_exit_2(self, tmp_path):
         assert run(["simulate", "iid", "--noise", "cauchy", "--n", 10, "--seed", 0,
                     "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("model", [["iid"], ["arma11", "--phi", 0.8, "--theta", 0.1]])
+    def test_negative_seed_exit_2(self, model, tmp_path, capsys):
+        assert run(["simulate", *model, "--n", 10, "--seed", -1,
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "seed" in single_error(capsys)
+
+    @pytest.mark.parametrize("psi", ["1,nan", "1,inf", "0.5,-inf"])
+    def test_non_finite_psi_exit_2(self, psi, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "maxma", "--psi", psi, "--n", 10, "--seed", 0,
+                    "--out", out]) == 2
+        assert "finite" in single_error(capsys)
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +241,35 @@ class TestAnalyzeCommand:
             data.write_text(f"1\n2\n{bad}\n")
             assert run(["analyze", "--input", data, "--out-dir", tmp_path / "o"]) == 2
             assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("# caf\xe9\n1.0\n2.0\n".encode("latin-1"))
+        assert run(["analyze", "--input", data, "--out-dir", tmp_path / "o"]) == 2
+        line = single_error(capsys)
+        assert str(data) in line and "UTF-8" in line
+
+    def test_negative_band_seed_exit_2(self, sim_file, tmp_path, capsys):
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o", "--q", 0.95,
+                    "--window", "daniell:10", "--grid", "list:0.8,1.2", "--band", "permutation",
+                    "--replicates", 19, "--band-seed", -1]) == 2
+        assert "seed" in single_error(capsys)
+
+    @pytest.mark.parametrize("window", ["custom:1,inf,1", "custom:1,nan,1", "custom:-inf"])
+    def test_non_finite_window_weight_exit_2(self, window, sim_file, tmp_path, capsys):
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
+                    "--window", window]) == 2
+        assert "finite" in single_error(capsys)
+
+    def test_band_above_memory_limit_exit_2(self, sim_file, tmp_path, capsys, monkeypatch):
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("the band spawned seeds before checking its memory bound")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o", "--q", 0.95,
+                    "--window", "daniell:10", "--grid", "list:0.8,1.2", "--band", "permutation",
+                    "--replicates", 10**15]) == 2
+        assert "byte limit" in single_error(capsys)
 
     def test_json_format(self, sim_file, tmp_path):
         out = tmp_path / "runj"

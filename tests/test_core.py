@@ -18,7 +18,6 @@ from extspec import (
     exceedance_indicators,
     fourier_grid,
     simulate_arma11,
-    smoothing_grid,
     threshold_from_quantile,
 )
 from extspec.core import smoothing_window_starts
@@ -167,19 +166,16 @@ class TestFourierGrid:
 
 class TestSmoothingGrid:
     def test_snaps_to_next_fourier_frequency(self):
-        g = smoothing_grid(1.0, 100, 2)
-        assert g.indices.tolist() == [14, 15, 16, 17, 18]
-        assert np.allclose(g.freqs, 2 * math.pi * np.arange(14, 19) / 100)
+        # 2*pi*16/100 is the first Fourier frequency at or above 1.0
+        assert smoothing_window_starts(1.0, 100, 2).tolist() == [14]
 
     def test_identity_at_fourier_frequency(self):
         lam = 2 * math.pi * 10 / 100
-        g = smoothing_grid(lam, 100, 0)
-        assert len(g) == 1
-        assert g.freqs[0] == pytest.approx(lam, abs=1e-15)
+        assert smoothing_window_starts(lam, 100, 0).tolist() == [10]
 
     def test_rejects_window_leaving_interval(self):
         with pytest.raises(ParameterError, match="maximum half-width"):
-            smoothing_grid(0.05, 100, 2)
+            smoothing_window_starts(0.05, 100, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -189,12 +185,12 @@ class TestSmoothingGrid:
     )
     def test_grid_frequencies_are_exact_fourier(self, n, lam, s):
         try:
-            g = smoothing_grid(lam, n, s)
+            start = int(smoothing_window_starts(lam, n, s)[0])
         except ParameterError:
             return
-        assert len(g) == 2 * s + 1
-        assert np.array_equal(g.freqs, 2 * math.pi * g.indices / n)
-        center = g.freqs[s]
+        # the window's 2s+1 Fourier frequencies lie inside (0, pi)
+        assert start >= 1 and 2 * math.pi * (start + 2 * s) / n < math.pi
+        center = 2 * math.pi * (start + s) / n
         # the center snaps to the first Fourier frequency at or above lam
         assert center >= lam - 1e-9
         assert center - 2 * math.pi / n < lam + 1e-9
@@ -213,10 +209,10 @@ class TestSmoothingGrid:
 
     def test_suggested_half_width_is_usable(self):
         try:
-            smoothing_grid(0.3, 100, 30)
+            smoothing_window_starts(0.3, 100, 30)
         except ParameterError as exc:
             s_max = int(str(exc).rsplit(" ", 1)[-1])
-        smoothing_grid(0.3, 100, s_max)  # must not raise
+        smoothing_window_starts(0.3, 100, s_max)  # must not raise
         with pytest.raises(ParameterError):
-            smoothing_grid(0.3, 100, s_max + 1)
+            smoothing_window_starts(0.3, 100, s_max + 1)
 

@@ -33,6 +33,7 @@ from extspec import (
     tail_event_rate,
     threshold_from_quantile,
 )
+from extspec.core import smoothing_window_starts
 from extspec.estimators import WeightWindow
 
 
@@ -384,9 +385,8 @@ class TestSmoothedPeriodogram:
             lam = float(rng.uniform(0.4, math.pi - 0.4))
             s = int(rng.integers(0, 6))
             w = daniell_window(s)
-            from extspec import smoothing_grid
-
-            ords = standardized_periodogram(ind, smoothing_grid(lam, 512, s)).values
+            j0 = smoothing_window_starts(lam, 512, s)[0]  # fourier_grid starts at j = 1
+            ords = standardized_periodogram(ind, fourier_grid(512)).values[j0 - 1 : j0 + 2 * s]
             got = smoothed_periodogram(ind, lam, w)
             assert ords.min() - 1e-12 <= got <= ords.max() + 1e-12
             # equal weights reduce to the arithmetic mean

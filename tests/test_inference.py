@@ -28,6 +28,7 @@ from extspec import (
     thin_grid,
     threshold_from_quantile,
 )
+from extspec.inference import BAND_MAX_BYTES
 
 
 def flat_curve(n_points=20, value=1.0):
@@ -101,24 +102,38 @@ class TestPermutationBand:
         ind = exceedance_indicators(x, UpperRay(1.0), thr)
         grid = thin_grid(smoothed_curve(ind, win).grid, 40)
         band = permutation_band(
-            x, q, UpperRay(1.0), win, grid,
-            replicates=replicates, seed=seed, level=level,
+            ind, win, grid, replicates=replicates, seed=seed, level=level
         )
         vals = smoothed_at_frequencies(ind, grid.freqs, win).values
         return band, vals
 
+    @staticmethod
+    def _indicators(n=512, q=0.9):
+        x = sample_noise(StudentT(3), n, 0)
+        return exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
+
     def test_replicate_count_validation(self):
-        x = sample_noise(StudentT(3), 512, 0)
         grid = fourier_grid(512)
         for bad in (0, 1):
             with pytest.raises(ParameterError):
-                permutation_band(x, 0.9, UpperRay(1.0), daniell_window(2), grid, bad, 0)
+                permutation_band(self._indicators(), daniell_window(2), grid, bad, 0)
 
     def test_small_replicate_count_warns(self):
-        x = sample_noise(StudentT(3), 512, 0)
         grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
         with pytest.warns(UserWarning, match="envelope"):
-            permutation_band(x, 0.9, UpperRay(1.0), daniell_window(2), grid, 5, 0)
+            permutation_band(self._indicators(), daniell_window(2), grid, 5, 0)
+
+    def test_memory_limit_checked_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the band allocated before checking its memory bound")
+
+        ind = self._indicators()
+        grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
+        too_many = BAND_MAX_BYTES // (8 * len(grid)) + 1
+        monkeypatch.setattr(np.random, "SeedSequence", no_allocation)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(ParameterError, match="byte limit"):
+            permutation_band(ind, daniell_window(2), grid, too_many, 0)
 
     def test_deterministic_given_seed(self):
         x = sample_noise(StudentT(3), 2048, 3)
@@ -176,8 +191,8 @@ class TestPermutationBandProperties:
     def test_equals_band_from_permuted_series(self, n, s, q, seed, replicates, fourier, data):
         x = sample_noise(StudentT(3), n, seed)
         win = daniell_window(s)
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
         if fourier:
-            ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
             grid = thin_grid(smoothed_curve(ind, win).grid, data.draw(st.integers(1, 60)))
         else:
             # targets between Fourier frequencies, each with an admissible window
@@ -186,7 +201,7 @@ class TestPermutationBandProperties:
             )
             lams = [2 * math.pi * (j - data.draw(st.floats(0.0, 0.9))) / n for j in centers]
             grid = FrequencyGrid.from_frequencies(sorted(lams))
-        band = permutation_band(x, q, UpperRay(1.0), win, grid, replicates, seed, 0.1)
+        band = permutation_band(ind, win, grid, replicates, seed, 0.1)
         lower, upper = _band_permuting_the_series(
             x, q, UpperRay(1.0), win, grid.freqs, replicates, seed, 0.1
         )
@@ -201,7 +216,7 @@ class TestPermutationBandProperties:
         grid = smoothed_curve(ind, win).grid
         tracemalloc.start()
         try:
-            permutation_band(x, q, UpperRay(1.0), win, grid, replicates, 1)
+            permutation_band(ind, win, grid, replicates, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
