@@ -36,6 +36,17 @@ CASES = {
                                       "--replicates", "19", "--band-seed", "3"],
     "oracle": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
                "--grid", "list:0.5,1.0,2.0", "--max-lag", "3", "--out-dir", "out"],
+    # real seeded noise: a burn-in or a max-MA window draws more than SPECIAL holds;
+    # the comment lines pin the default burn-in, n_coeffs and trunc_eps
+    "simulate_arma11": ["simulate", "arma11", "--phi", "0.97", "--theta", "-0.5",
+                        "--n", "6", "--seed", "1", "--out", "out/series.csv"],
+    "simulate_sv": ["simulate", "sv", "--logvol-ar", "0.96", "--logvol-sd", "0.2",
+                    "--n", "6", "--seed", "2", "--out", "out/series.csv"],
+    "simulate_maxma_psi": ["simulate", "maxma", "--psi", "1,0.9,0.72", "--noise", "pareto:3:0.5",
+                           "--n", "6", "--seed", "3", "--out", "out/series.csv"],
+    "simulate_maxma_filter": ["simulate", "maxma", "--phi", "0.97", "--theta", "0.5",
+                              "--trunc-eps", "1e-4", "--n", "6", "--seed", "4",
+                              "--out", "out/series.csv"],
 }
 
 
@@ -51,7 +62,8 @@ def _special_band(curve, window):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(simulate, "sample_noise", lambda spec, n, seed: np.array(SPECIAL))
+    if case == "simulate":
+        monkeypatch.setattr(simulate, "sample_noise", lambda spec, n, seed: np.array(SPECIAL))
     monkeypatch.setattr(inference, "surrogate_band", _special_band)
     (tmp_path / "x.csv").write_text("".join(f"{v!r}\n" for v in SERIES))
 
