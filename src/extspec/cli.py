@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 parse/configuration error, 3 degenerate data
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -38,6 +37,8 @@ from .core import (
 from .trigsums import SingularFrequencyError
 
 _CHUNK_ROWS = 2**16  # rows formatted per write: bounds the writer's memory
+# analyze attributes that do not determine the numbers; the rest is recorded
+_NOT_PROVENANCE = ("command", "func", "out_dir")
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -154,71 +155,40 @@ def read_series_csv(path) -> np.ndarray:
 # simulate
 
 
-def _build_model(args) -> tuple[object, dict]:
+@np.errstate(over="ignore", invalid="ignore")  # the generators report overflow once
+def cmd_simulate(args) -> int:
     noise = parse_noise(args.noise)
+    desc: dict = {"model": args.model, "noise": noise.describe()}
+    burnin = 0
     if args.model == "iid":
-        return noise, {"model": "iid", "noise": noise.describe()}
-    if args.model == "arma11":
+        x = simulate.sample_noise(noise, args.n, args.seed)
+    elif args.model == "arma11":
         if args.phi is None or args.theta is None:
             raise ParameterError("arma11 needs --phi and --theta")
         spec = simulate.Arma11Spec(phi=args.phi, theta=args.theta, noise=noise)
-        return spec, {
-            "model": "arma11",
-            "phi": args.phi,
-            "theta": args.theta,
-            "noise": noise.describe(),
-        }
-    if args.model == "sv":
-        spec = simulate.SvSpec(
-            logvol_ar=args.logvol_ar, logvol_sd=args.logvol_sd, noise=noise
-        )
-        return spec, {
-            "model": "sv",
-            "logvol_ar": args.logvol_ar,
-            "logvol_sd": args.logvol_sd,
-            "noise": noise.describe(),
-        }
-    if args.model == "maxma":
+        desc.update(phi=args.phi, theta=args.theta)
+        burnin = args.burnin if args.burnin is not None else simulate.default_burnin(args.phi)
+        x = simulate.simulate_arma11(spec, args.n, args.seed, burnin)
+    elif args.model == "sv":
+        spec = simulate.SvSpec(logvol_ar=args.logvol_ar, logvol_sd=args.logvol_sd, noise=noise)
+        desc.update(logvol_ar=args.logvol_ar, logvol_sd=args.logvol_sd)
+        burnin = args.burnin if args.burnin is not None else simulate.default_burnin(args.logvol_ar)
+        x = simulate.simulate_sv(spec, args.n, args.seed, burnin)
+    else:
         if args.psi is not None:
-            psi = tuple(float(v) for v in args.psi.split(",") if v != "")
-            desc: dict = {"model": "maxma", "psi": list(psi), "noise": noise.describe()}
+            try:
+                psi = tuple(float(v) for v in args.psi.split(",") if v != "")
+            except ValueError as exc:
+                raise ParameterError(f"bad --psi {args.psi!r}: {exc}") from None
+            desc["psi"] = list(psi)
         elif args.phi is not None and args.theta is not None:
-            tail = oracles.TailIndexSpec(
-                alpha=noise.tail_index, upper_share=noise.upper_tail_share
-            )
             filt = oracles.arma11_filter(args.phi, args.theta)
-            psi = tuple(filt.materialize(tail, args.trunc_eps))
-            desc = {
-                "model": "maxma",
-                "phi": args.phi,
-                "theta": args.theta,
-                "trunc_eps": args.trunc_eps,
-                "n_coeffs": len(psi),
-                "noise": noise.describe(),
-            }
+            psi = tuple(filt.materialize(noise.tail, args.trunc_eps))
+            desc.update(phi=args.phi, theta=args.theta, trunc_eps=args.trunc_eps, n_coeffs=len(psi))
         else:
             raise ParameterError("maxma needs --psi or both --phi and --theta")
         spec = simulate.MaxMaSpec(psi=psi, noise=noise, truncation_eps=args.trunc_eps)
-        return spec, desc
-    raise ParameterError(f"unknown model {args.model!r}")
-
-
-def cmd_simulate(args) -> int:
-    spec, desc = _build_model(args)
-    if args.model == "iid":
-        x = simulate.sample_noise(spec, args.n, args.seed)
-        burnin = 0
-    elif args.model == "arma11":
-        burnin = args.burnin if args.burnin is not None else simulate.default_burnin(spec.phi)
-        x = simulate.simulate_arma11(spec, args.n, args.seed, burnin)
-    elif args.model == "sv":
-        burnin = (
-            args.burnin if args.burnin is not None else simulate.default_burnin(spec.logvol_ar)
-        )
-        x = simulate.simulate_sv(spec, args.n, args.seed, burnin)
-    else:
         x = simulate.simulate_max_ma(spec, args.n, args.seed)
-        burnin = 0
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     comments = [
@@ -233,51 +203,6 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-@dataclasses.dataclass(frozen=True)
-class AnalysisConfig:
-    """Resolved analyze-pipeline configuration; round-trips through dicts."""
-
-    input: str
-    out_dir: str
-    q: float = 0.98
-    tail_set: str = "upper:1"
-    window: str = "daniell:50"
-    grid: str = "fourier"
-    max_lag: int = 50
-    band: str = "none"
-    replicates: int = 99
-    band_seed: int = 0
-    level: float = 0.05
-    output_format: str = "csv"
-
-    def __post_init__(self):
-        if self.band not in ("none", "surrogate", "permutation"):
-            raise ParameterError("band must be none, surrogate or permutation")
-        if self.output_format not in ("csv", "json"):
-            raise ParameterError("format must be csv or json")
-        if self.max_lag < 0:
-            raise ParameterError("max lag must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise ParameterError("level must lie in (0, 1)")
-        # eagerly validate the parseable pieces
-        parse_tail_set(self.tail_set)
-        parse_window(self.window)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def provenance_dict(self) -> dict:
-        # everything that determines the numbers; where they are written
-        # is not part of it
-        payload = self.to_dict()
-        payload.pop("out_dir")
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AnalysisConfig":
-        return cls(**{"out_dir": ".", **payload})
 
 
 def _write_table(path: Path, comments: list[str], columns: dict, header: bool = True) -> None:
@@ -304,27 +229,31 @@ def _write_records_json(path: Path, meta: dict, columns: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def run_analysis(config: AnalysisConfig) -> dict:
-    """Execute the pipeline and write the output files; returns the manifest."""
-    x = read_series_csv(config.input)
+def run_analysis(args) -> dict:
+    """Execute the pipeline on parsed ``analyze`` flags; returns the manifest."""
+    if args.max_lag < 0:
+        raise ParameterError("max lag must be nonnegative")
+    if not 0.0 < args.level < 1.0:
+        raise ParameterError("level must lie in (0, 1)")
+    tail_set = parse_tail_set(args.tail_set)
+    window = parse_window(args.window)
+    x = read_series_csv(args.input)
     n = x.size
-    thr = threshold_from_quantile(x, config.q)
+    thr = threshold_from_quantile(x, args.q)
     if thr.a_m <= 0:
         raise DegenerateDataError(
             f"quantile threshold {thr.a_m:g} is not positive; "
             "too few positive observations for scaled tail events"
         )
-    tail_set = parse_tail_set(config.tail_set)
     ind = exceedance_indicators(x, tail_set, thr)
     if ind.n_events == 0:
         raise DegenerateDataError("no observations fall in the tail set")
-    window = parse_window(config.window)
-    max_lag = min(config.max_lag, n - 1)
+    max_lag = min(args.max_lag, n - 1)
 
     extrem = estimators.sample_extremogram(ind, max_lag)
     se = extrem.stderr()
 
-    grid = parse_grid(config.grid, n)
+    grid = parse_grid(args.grid, n)
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty for this series length")
     raw = estimators.standardized_periodogram(ind, grid)
@@ -341,27 +270,25 @@ def run_analysis(config: AnalysisConfig) -> dict:
 
     lower = np.full(len(grid), np.nan)
     upper = np.full(len(grid), np.nan)
-    band_info: dict = {"method": config.band}
-    if config.band != "none":
-        if config.band == "surrogate":
+    band_info: dict = {"method": args.band}
+    if args.band != "none":
+        if args.band == "surrogate":
             band = inference.surrogate_band(curve, window)
         else:
             band = inference.permutation_band(
                 ind,
                 window,
                 curve.grid,
-                replicates=config.replicates,
-                seed=config.band_seed,
-                level=config.level,
+                replicates=args.replicates,
+                seed=args.band_seed,
+                level=args.level,
             )
-            band_info.update(
-                {"replicates": config.replicates, "seed": config.band_seed, "level": config.level}
-            )
+            band_info.update(replicates=args.replicates, seed=args.band_seed, level=args.level)
         mask = ~np.isnan(smoothed)
         lower[mask] = band.lower
         upper[mask] = band.upper
 
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
         "extremogram": {"h": np.arange(max_lag + 1), "rho": extrem.rho, "stderr": se},
@@ -373,18 +300,19 @@ def run_analysis(config: AnalysisConfig) -> dict:
             "upper": upper,
         },
     }
-    outputs = {name: f"{name}.{config.output_format}" for name in tables}
-    config_line = json.dumps(config.provenance_dict(), sort_keys=True)
+    outputs = {name: f"{name}.{args.output_format}" for name in tables}
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_PROVENANCE}
+    config_line = json.dumps(config, sort_keys=True)
     for name, columns in tables.items():
         path = out_dir / outputs[name]
-        if config.output_format == "csv":
+        if args.output_format == "csv":
             _write_table(path, [f"extspec analyze: config = {config_line}"], columns)
         else:
-            _write_records_json(path, config.provenance_dict(), columns)
+            _write_records_json(path, config, columns)
 
     manifest = {
         "command": "analyze",
-        "config": config.provenance_dict(),
+        "config": config,
         "n": n,
         "threshold": thr.a_m,
         "threshold_exceedances": thr.exceed_count,
@@ -398,13 +326,10 @@ def run_analysis(config: AnalysisConfig) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    config = AnalysisConfig(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisConfig)}
-    )
-    manifest = run_analysis(config)
+    manifest = run_analysis(args)
     print(
         f"analyzed {manifest['n']} observations, {manifest['events']} tail events; "
-        f"outputs in {config.out_dir}"
+        f"outputs in {args.out_dir}"
     )
     return 0
 

@@ -8,7 +8,7 @@ after construction, so values can be shared freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -36,6 +36,13 @@ def as_series(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError("series contains NaN or infinite values")
     return arr
+
+
+def require_finite(values, message: str):
+    """Return ``values`` unchanged if every entry is finite; else raise ParameterError."""
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(message)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +137,6 @@ class Threshold:
     """Empirical threshold: the ceil(q*n)-th ascending order statistic."""
 
     a_m: float
-    q: float
     exceed_count: int
 
 
@@ -159,30 +165,32 @@ def threshold_from_quantile(series, q: float) -> Threshold:
     k = max(1, math.ceil(q * n - 1e-9))  # 1-based order statistic index
     a_m = float(np.partition(x, k - 1)[k - 1])
     exceed = int(np.count_nonzero(x > a_m))
-    return Threshold(a_m=a_m, q=q, exceed_count=exceed)
+    return Threshold(a_m=a_m, exceed_count=exceed)
 
 
 @dataclass(frozen=True)
 class IndicatorSeries:
-    """0/1 marks of scaled observations falling in a tail set."""
+    """0/1 marks of scaled observations falling in a tail set.
+
+    The event count and the empirical event rate ``p0_hat`` are
+    statistics of the bits, computed once at construction.
+    """
 
     bits: np.ndarray
-    p0_hat: float
-    threshold: Threshold
-    tail_set: TailSet
+    p0_hat: float = field(init=False)
+    n_events: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool))
-        if not 0.0 <= self.p0_hat <= 1.0:
-            raise ParameterError("p0_hat must lie in [0, 1]")
+        bits = np.asarray(self.bits, dtype=bool)
+        if bits.ndim != 1 or bits.size == 0:
+            raise InputError("indicator bits must form a non-empty 1-d array")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "p0_hat", float(bits.mean()))
+        object.__setattr__(self, "n_events", int(np.count_nonzero(bits)))
 
     @property
     def n(self) -> int:
         return self.bits.size
-
-    @property
-    def n_events(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
     def centered(self) -> np.ndarray:
         """Indicator values with the empirical event rate removed."""
@@ -197,9 +205,7 @@ def exceedance_indicators(series, tail_set: TailSet, threshold: Threshold) -> In
     bits = np.asarray(tail_set.contains(x / threshold.a_m), dtype=bool)
     if bits.shape != x.shape:
         raise InputError("tail set membership must preserve the series shape")
-    return IndicatorSeries(
-        bits=bits, p0_hat=float(bits.mean()), threshold=threshold, tail_set=tail_set
-    )
+    return IndicatorSeries(bits)
 
 
 # ---------------------------------------------------------------------------

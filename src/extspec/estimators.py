@@ -26,6 +26,7 @@ from .core import (
     IndicatorSeries,
     ParameterError,
     fourier_grid,
+    require_finite,
     smoothing_window_starts,
 )
 
@@ -108,13 +109,13 @@ class WeightWindow:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size != 2 * self.half_width + 1:
             raise ParameterError("need 2s+1 weights for half-width s")
-        if not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite")
+        require_finite(w, "weights must be finite")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
         total = w.sum()
         if not total > 0:
             raise ParameterError("weights must not all vanish")
+        require_finite(total, "weights must have a finite sum")
         object.__setattr__(self, "weights", w / total)
 
     @property

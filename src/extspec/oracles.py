@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DegenerateDataError, ParameterError
+from .core import DegenerateDataError, ParameterError, require_finite
 from .estimators import Extremogram
 from .trigsums import cos_arith_sum, geometric_trig_sum
 
@@ -43,6 +43,7 @@ class TailIndexSpec:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ParameterError("tail index alpha must be positive")
+        require_finite(self.alpha, "tail index alpha must be finite")
         if not 0.0 <= self.upper_share <= 1.0:
             raise ParameterError("upper tail share must lie in [0, 1]")
 
@@ -107,6 +108,7 @@ def arma11_filter(phi: float, theta: float, jmax: int = 64) -> LinearFilter:
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ParameterError("need 0 < |phi| < 1 for a stationary causal filter")
+    require_finite(theta, "need a finite theta")
     if jmax < 1:
         raise ParameterError("need jmax >= 1")
     j = np.arange(1, jmax + 1)
@@ -236,13 +238,17 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ParameterError("need 0 < |phi| < 1")
+    require_finite(theta, "need a finite theta")
     total = phi + theta
     if total == 0.0:
         return "independent", []
     alpha, p, q = tail.alpha, tail.upper_share, tail.lower_share
     case = _arma11_case(phi, total, tail)
     aphi = abs(phi)
-    sa = abs(total) ** alpha
+    try:
+        sa = abs(total) ** alpha
+    except OverflowError:
+        raise ParameterError(f"|phi+theta|**alpha overflows for theta={theta!r}") from None
     fa = aphi**alpha
     if fa == 1.0:
         raise ParameterError(f"|phi|**alpha rounds to 1 for phi={phi!r}, alpha={alpha!r}")
@@ -258,7 +264,10 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
         ]
 
     if case == "pos_neg":
-        return case, [(1, None, 1, fa * q * sa / (p * (1.0 - fa) + q * sa), fa)]
+        denom = p * (1.0 - fa) + q * sa
+        if denom == 0.0:  # p = 0 and |phi+theta|**alpha underflows
+            raise ParameterError(f"|phi+theta|**alpha underflows for theta={theta!r}")
+        return case, [(1, None, 1, fa * q * sa / denom, fa)]
 
     if case == "neg_pos":
         denom = p * (1.0 - f2 + sa) + q * fa * sa

@@ -2,7 +2,8 @@
 
 All generators are deterministic functions of (spec, n, seed); identical
 arguments reproduce identical output bit for bit.  Independent streams
-need distinct seeds.
+need distinct seeds.  A draw that overflows the floating-point range
+raises ParameterError instead of returning nan or inf.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import Union
 import numpy as np
 from scipy import signal
 
-from .core import ParameterError
+from .core import ParameterError, require_finite
+from .oracles import TailIndexSpec
+
+_OVERFLOW = "the model parameters overflow the floating-point range"
 
 
 @dataclass(frozen=True)
@@ -32,16 +36,13 @@ class ParetoBalanced:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ParameterError("tail index alpha must be positive")
+        require_finite(self.alpha, "tail index alpha must be finite")
         if not 0.0 <= self.upper_share <= 1.0:
             raise ParameterError("upper tail share must lie in [0, 1]")
 
     @property
-    def tail_index(self) -> float:
-        return self.alpha
-
-    @property
-    def upper_tail_share(self) -> float:
-        return self.upper_share
+    def tail(self) -> TailIndexSpec:
+        return TailIndexSpec(self.alpha, self.upper_share)
 
     def describe(self) -> str:
         return f"pareto:{self.alpha:g}:{self.upper_share:g}"
@@ -56,14 +57,11 @@ class StudentT:
     def __post_init__(self):
         if not self.df > 0:
             raise ParameterError("degrees of freedom must be positive")
+        require_finite(self.df, "degrees of freedom must be finite")
 
     @property
-    def tail_index(self) -> float:
-        return self.df
-
-    @property
-    def upper_tail_share(self) -> float:
-        return 0.5
+    def tail(self) -> TailIndexSpec:
+        return TailIndexSpec(self.df)
 
     def describe(self) -> str:
         return f"t:{self.df:g}"
@@ -87,11 +85,11 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
         u = 1.0 - rng.random(n)  # uniform on (0, 1]; keeps U**(-1/alpha) finite
         mag = u ** (-1.0 / spec.alpha)
         sign = np.where(rng.random(n) < spec.upper_share, 1.0, -1.0)
-        return sign * mag
+        return require_finite(sign * mag, _OVERFLOW)
     if isinstance(spec, StudentT):
         z = rng.standard_normal(n)
         g = rng.chisquare(spec.df, n)
-        return z / np.sqrt(g / spec.df)
+        return require_finite(z / np.sqrt(g / spec.df), _OVERFLOW)
     raise ParameterError(f"unknown noise spec {spec!r}")
 
 
@@ -117,6 +115,7 @@ class Arma11Spec:
                 "autoregressive coefficient must satisfy 0 < |phi| < 1 "
                 "(no stationary causal solution otherwise)"
             )
+        require_finite(self.theta, "moving-average coefficient theta must be finite")
 
 
 def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = None) -> np.ndarray:
@@ -134,7 +133,7 @@ def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = No
         raise ParameterError("burn-in must be nonnegative")
     z = sample_noise(spec.noise, n + burnin, seed)
     x = signal.lfilter([1.0, spec.theta], [1.0, -spec.phi], z)
-    return x[burnin:]
+    return require_finite(x[burnin:], _OVERFLOW)
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,7 @@ class SvSpec:
             raise ParameterError("log-volatility AR coefficient must satisfy |a| < 1")
         if self.logvol_sd < 0:
             raise ParameterError("log-volatility innovation sd must be nonnegative")
+        require_finite(self.logvol_sd, "log-volatility innovation sd must be finite")
 
 
 def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> np.ndarray:
@@ -180,7 +180,7 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
     v = signal.lfilter([1.0], [1.0, -a], eps)
     if v0 != 0.0:
         v = v + v0 * a ** np.arange(1, total + 1)
-    return (np.exp(v) * z)[burnin:]
+    return require_finite((np.exp(v) * z)[burnin:], _OVERFLOW)
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,12 @@ class MaxMaSpec:
         psi = tuple(float(c) for c in np.atleast_1d(np.asarray(self.psi, dtype=float)))
         if len(psi) == 0:
             raise ParameterError("coefficient list is empty")
-        if not all(math.isfinite(c) for c in psi):
-            raise ParameterError("max-moving-average coefficients must be finite")
+        require_finite(psi, "max-moving-average coefficients must be finite")
         if all(c == 0.0 for c in psi):
             raise ParameterError("all max-moving-average coefficients are zero: degenerate process")
         if not self.truncation_eps > 0:
             raise ParameterError("truncation tolerance must be positive")
+        require_finite(self.truncation_eps, "truncation tolerance must be finite")
         object.__setattr__(self, "psi", psi)
 
 
@@ -223,4 +223,4 @@ def simulate_max_ma(spec: MaxMaSpec, n: int, seed: int) -> np.ndarray:
     x = np.full(n, -np.inf)
     for i, c in enumerate(psi):
         np.maximum(x, c * z[s - i : s - i + n], out=x)
-    return x
+    return require_finite(x, _OVERFLOW)

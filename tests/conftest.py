@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extspec import IndicatorSeries, Threshold, UpperRay
+from extspec import IndicatorSeries
 
 
 @pytest.fixture
@@ -9,13 +9,6 @@ def make_indicators():
     """Factory: indicator series straight from a 0/1 pattern."""
 
     def _make(bits):
-        bits = np.asarray(bits, dtype=bool)
-        thr = Threshold(a_m=1.0, q=0.5, exceed_count=int(bits.sum()))
-        return IndicatorSeries(
-            bits=bits,
-            p0_hat=float(bits.mean()),
-            threshold=thr,
-            tail_set=UpperRay(1.0),
-        )
+        return IndicatorSeries(np.asarray(bits, dtype=bool))
 
     return _make

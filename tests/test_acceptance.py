@@ -301,10 +301,7 @@ def test_criterion_7_exact_algebraic_invariants():
         bits = rng.random(n) < rate
         if not bits.any():
             bits[int(rng.integers(0, n))] = True
-        thr = es.Threshold(a_m=1.0, q=0.5, exceed_count=int(bits.sum()))
-        ind = es.IndicatorSeries(
-            bits=bits, p0_hat=float(bits.mean()), threshold=thr, tail_set=es.UpperRay(1.0)
-        )
+        ind = es.IndicatorSeries(bits)
         c = ind.centered()
 
         power_full = np.abs(np.fft.fft(c)) ** 2

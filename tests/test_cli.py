@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extspec.cli import (
-    AnalysisConfig,
     _write_table,
     main,
     parse_grid,
@@ -15,7 +21,7 @@ from extspec.cli import (
     parse_window,
     read_series_csv,
 )
-from extspec import InputError, ParameterError, ParetoBalanced, StudentT
+from extspec import InputError, ParameterError, ParetoBalanced, StudentT, cli
 
 
 def run(argv):
@@ -71,15 +77,6 @@ class TestParsers:
         with pytest.raises(ParameterError):
             parse_grid("mesh:1", None)
 
-    def test_analysis_config_round_trip(self):
-        cfg = AnalysisConfig(input="a.csv", out_dir="out", q=0.95, band="surrogate")
-        assert AnalysisConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_analysis_config_level_in_unit_interval(self):
-        for bad in (0.0, 1.0, float("nan")):
-            with pytest.raises(ParameterError):
-                AnalysisConfig(input="a.csv", out_dir="out", level=bad)
-
 
 class TestReadSeries:
     def test_plain_column(self, tmp_path):
@@ -105,13 +102,14 @@ class TestReadSeries:
 
 
 class TestWriteTable:
-    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
         # the writer formats one chunk of rows at a time, so its peak is set
-        # by the chunk size: 2^19 rows peak where 2^17 rows do
+        # by the chunk size: 2^13 rows peak where 2^11 rows do (chunks of 2^10)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2**10)
         rng = np.random.default_rng(0)
         out = tmp_path / "t.csv"
         peaks = {}
-        for rows in (2**17, 2**19):
+        for rows in (2**11, 2**13):
             columns = {name: rng.standard_normal(rows) for name in "abcde"}
             tracemalloc.start()
             try:
@@ -120,7 +118,7 @@ class TestWriteTable:
             finally:
                 tracemalloc.stop()
             assert out.read_bytes().count(b"\n") == rows + 2  # comment, header, rows
-        assert peaks[2**19] <= 1.05 * peaks[2**17]
+        assert peaks[2**13] <= 1.05 * peaks[2**11]
 
 
 class TestSimulateCommand:
@@ -235,6 +233,17 @@ class TestAnalyzeCommand:
                     "--q", 0.9]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--level", 0], ["--level", 1], ["--level", "nan"], ["--max-lag", -1]],
+        ids=lambda f: f"{f[0]}={f[1]}",
+    )
+    def test_bad_level_or_max_lag_exit_2_before_reading(self, flag, tmp_path, capsys):
+        # the input does not exist: the flag is rejected before it is read
+        assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
+                    *flag]) == 2
+        assert flag[0].strip("-").replace("-", " ") in single_error(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_input_exit_2_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         for bad in ("three", "nan", "inf", "-inf"):
@@ -255,7 +264,9 @@ class TestAnalyzeCommand:
                     "--replicates", 19, "--band-seed", -1]) == 2
         assert "seed" in single_error(capsys)
 
-    @pytest.mark.parametrize("window", ["custom:1,inf,1", "custom:1,nan,1", "custom:-inf"])
+    @pytest.mark.parametrize(
+        "window", ["custom:1,inf,1", "custom:1,nan,1", "custom:-inf", "custom:1e308,1e308,1e308"]
+    )
     def test_non_finite_window_weight_exit_2(self, window, sim_file, tmp_path, capsys):
         assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
                     "--window", window]) == 2
@@ -364,3 +375,184 @@ class TestOracleCommand:
         assert run(["oracle", "arma11", "--phi", "0.9999999999999999", "--theta", 0.1,
                     "--alpha", 0.001, "--out-dir", tmp_path / "d"]) == 2
         assert "error: |phi|**alpha rounds to 1" in capsys.readouterr().err
+
+
+# model and oracle parameters that are not finite, or that overflow what
+# they produce, used to exit 0 with nan or inf values or end in a traceback
+BAD_MODEL_PARAMETERS = [
+    ["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "nan"],
+    ["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "inf"],
+    ["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "1e308"],
+    ["simulate", "iid", "--noise", "t:inf"],
+    ["simulate", "iid", "--noise", "pareto:inf"],
+    ["simulate", "iid", "--noise", "pareto:1e-300"],
+    ["simulate", "arma11", "--phi", 0.8, "--theta", "nan"],
+    ["simulate", "arma11", "--phi", 0.8, "--theta", "inf"],
+    ["simulate", "arma11", "--phi", 0.8, "--theta", "1e308"],
+    ["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", "inf"],
+    ["simulate", "maxma", "--phi", 0.5, "--theta", "nan"],
+    ["simulate", "maxma", "--psi", "abc"],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", "nan", "--alpha", 3],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", "inf", "--alpha", 3],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", "1e308", "--alpha", 3],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", "inf"],
+    ["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_MODEL_PARAMETERS, ids=lambda a: " ".join(map(str, a)))
+def test_bad_model_parameters_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    sink = ["--out-dir", out] if argv[0] == "oracle" else ["--n", 10, "--seed", 1, "--out", out]
+    assert run([*argv, *sink]) == 2
+    single_error(capsys)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# argv property: any flag values give exit 0, 2 or 3, never a traceback
+
+# values that break a flag; "1e308" stands in for huge, except on the size
+# flags (--n, --burnin, --max-lag, daniell:S, fourier:N, linspace K), which
+# allocate what they ask for before any check and so stop at 4096
+NASTY = ["nan", "inf", "-inf", "-1", "0", "", "1e308"]
+SIZE_NASTY = ["nan", "-1", "0", "", "4096"]
+
+SIMULATE_FLAGS = {
+    "--noise": (["t:3", "pareto:3:0.5", "pareto:2"],
+                [f"t:{v}" for v in NASTY] + [f"pareto:{v}" for v in NASTY]
+                + ["pareto:3:nan", "pareto:3:2", "gauss:1"]),
+    "--phi": (["0.8", "-0.6", "0.5"], NASTY),
+    "--theta": (["0.1", "-1.2", "0.9", "-0.5"], NASTY),
+    "--logvol-ar": (["0.5", "-0.3"], NASTY),
+    "--logvol-sd": (["0.2", "0"], NASTY),
+    "--psi": (["1,0.9,0.72", "0.5,-1"], ["1,nan", "1,inf", "0,0", "abc", "1e308,1", ""]),
+    "--trunc-eps": (["1e-6", "1e-3"], NASTY),
+    "--burnin": (["0", "20"], SIZE_NASTY),
+    "--n": (["1", "40", "300"], SIZE_NASTY),
+    "--seed": (["0", "7"], ["-1", "", "nan", str(2**64)]),
+}
+GRID_NASTY = ["fourier:0", "fourier:-1", "fourier:4096", "linspace:0.5:2.5:4096",
+              "linspace:nan:1:3", "linspace:0.5:inf:3", "linspace:0.5:2.5:0", "list:",
+              "list:nan", "list:inf", "list:1e308", "list:-1", "list:2,1", "", "mesh:1"]
+ANALYZE_FLAGS = {
+    "--input": (["series.csv"], ["header.csv", "latin1.csv", "empty.csv", "nan.csv",
+                                 "missing.csv"]),
+    "--q": (["0.9", "0.95"], NASTY),
+    "--tail-set": (["upper:1", "lower:1", "interval:1:3"],
+                   [f"upper:{v}" for v in NASTY] + ["interval:3:1", "interval:1:inf", "ball:1"]),
+    "--window": (["daniell:2", "daniell:5", "custom:1,2,1"],
+                 [f"daniell:{v}" for v in SIZE_NASTY]
+                 + ["custom:1,nan,1", "custom:1,inf,1", "custom:", "custom:1,2",
+                    "custom:1e308,1e308,1e308", "custom:0,0,0", "custom:-1,1,1"]),
+    "--grid": (["fourier", "fourier:64", "linspace:0.5:2.5:9", "list:0.6,1.2,2.4"],
+               GRID_NASTY),
+    "--max-lag": (["0", "3", "50"], SIZE_NASTY),
+    "--band": (["none", "surrogate", "permutation"], ["bogus", ""]),
+    "--replicates": (["19", "29"], ["0", "1", "-1", "", "nan"]),
+    "--band-seed": (["0", "3"], ["-1", "", "nan", str(2**64)]),
+    "--level": (["0.05", "0.1"], NASTY),
+    "--format": (["csv", "json"], ["xml", ""]),
+}
+ORACLE_FLAGS = {
+    "--phi": (["0.8", "-0.6", "0.5"], NASTY),
+    "--theta": (["0.1", "-1.2", "0.9", "-0.5"], NASTY),
+    "--alpha": (["3", "1.5"], NASTY),
+    "--p": (["0.5", "0", "1"], NASTY),
+    "--grid": (["linspace:0.01:3.13:64", "fourier:100", "list:0.5,1.0,2.0"],
+               GRID_NASTY + ["fourier"]),
+    "--max-lag": (["0", "3", "50"], SIZE_NASTY),
+}
+COMMANDS = {
+    "simulate": (["iid", "arma11", "sv", "maxma"], SIMULATE_FLAGS),
+    "analyze": ([], ANALYZE_FLAGS),
+    "oracle": (["arma11"], ORACLE_FLAGS),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A valid command with up to two flags broken, dropped or left at default."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, flags = COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(positionals + ["bogus"]))] if positionals else [])
+    broken = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
+    for flag, (valid, nasty) in flags.items():
+        if flag in broken:
+            value = draw(st.sampled_from(nasty + [None]))  # None drops the flag
+        else:
+            value = draw(st.sampled_from(valid))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # '=' keeps '-inf' a value, not a flag
+    return argv
+
+
+def _table(path):
+    """Columns of a CSV or JSON table written by the CLI, nan where undefined."""
+    if path.suffix == ".json":
+        rows = json.loads(path.read_text())["rows"]
+        return {k: np.array([np.nan if r[k] is None else r[k] for r in rows]) for k in rows[0]}
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    names = lines[0].split(",")
+    values = np.array([[float(c) for c in l.split(",")] for l in lines[1:]])
+    return dict(zip(names, values.reshape(-1, len(names)).T))
+
+
+def _assert_finite_outputs(command, out):
+    if command == "simulate":
+        x = np.array([float(l) for l in (out / "x.csv").read_text().splitlines()
+                      if not l.startswith("#")])
+        assert x.size and np.all(np.isfinite(x))
+        return
+    manifest = json.loads((out / "manifest.json").read_text())
+    if command == "oracle":
+        assert math.isfinite(manifest["max_series_residual"])
+    else:
+        assert math.isfinite(manifest["threshold"]) and 0 < manifest["event_rate"] <= 1
+    for table in (_table(out / name) for name in manifest["outputs"].values()):
+        for name, col in table.items():
+            if name in ("smoothed", "lower", "upper"):
+                # undefined where the smoothing window leaves (0, pi)
+                assert not np.any(np.isinf(col)), name
+            else:
+                assert np.all(np.isfinite(col)), name
+        if "smoothed" in table:
+            undefined = np.isnan(table["smoothed"])
+            assert np.all(np.isnan(table["lower"][undefined]))
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """A directory holding the analyze inputs the argv property names."""
+    root = tmp_path_factory.mktemp("argv")
+    x = np.random.default_rng(1).standard_t(3, 512)
+    (root / "series.csv").write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    (root / "header.csv").write_text("x\n")
+    (root / "latin1.csv").write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
+    (root / "empty.csv").write_text("")
+    (root / "nan.csv").write_text("1.0\nnan\n2.0\n")
+    return root
+
+
+class TestArgvProperty:
+    @given(argv=argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_error_line_and_finite_outputs(self, argv, argv_dir):
+        out = Path(tempfile.mkdtemp(dir=argv_dir))
+        argv = [a.replace("--input=", f"--input={argv_dir}/") for a in argv]
+        argv += [f"--out={out / 'x.csv'}"] if argv[0] == "simulate" else [f"--out-dir={out}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the flag itself
+                    code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 0:
+            _assert_finite_outputs(argv[0], out)
+        else:
+            assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)

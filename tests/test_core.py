@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
+    IndicatorSeries,
     InputError,
     Interval,
     LowerRay,
@@ -102,7 +103,7 @@ class TestTailSets:
         assert ind.bits.tolist() == [False, False, True]
 
     def test_ray_boundary_is_strict(self):
-        thr = Threshold(a_m=2.0, q=0.5, exceed_count=1)
+        thr = Threshold(a_m=2.0, exceed_count=1)
         ind = exceedance_indicators([0.5, 2.0, -3.0], UpperRay(1.0), thr)
         # 2.0 / 2.0 == 1.0 is not > 1
         assert ind.bits.tolist() == [False, False, False]
@@ -123,9 +124,17 @@ class TestTailSets:
             Interval(2.0, 1.0)
 
     def test_nonpositive_threshold_rejected(self):
-        thr = Threshold(a_m=-1.0, q=0.5, exceed_count=0)
+        thr = Threshold(a_m=-1.0, exceed_count=0)
         with pytest.raises(ParameterError):
             exceedance_indicators([1.0, 2.0], UpperRay(1.0), thr)
+
+    def test_rate_and_count_are_statistics_of_the_bits(self):
+        ind = IndicatorSeries([1, 0, 0, 1, 0, 0, 0, 1])
+        assert (ind.n, ind.n_events, ind.p0_hat) == (8, 3, 0.375)
+        assert ind.centered().sum() == 0.0
+        for bad in ([], [[1, 0], [0, 1]]):
+            with pytest.raises(InputError):
+                IndicatorSeries(bad)
 
     @pytest.mark.parametrize("scale", [1e-3, 3.0, 1e6])
     def test_scale_invariance_with_rederived_threshold(self, scale):
