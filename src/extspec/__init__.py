@@ -31,14 +31,12 @@ from .estimators import (
     canonical_m,
     daniell_window,
     lag_window_curve,
-    lag_window_estimate,
     periodogram,
     sample_extremogram,
     sine_cosine_transforms,
     smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
-    smoothed_periodogram,
     standardized_periodogram,
     tail_event_rate,
 )
@@ -56,10 +54,8 @@ from .oracles import (
     SpectralDensityOracle,
     TailIndexSpec,
     UnsupportedCaseError,
-    arma11_extremogram_closed,
     arma11_extremogram_curve,
     arma11_filter,
-    arma11_spectral_closed,
     arma11_spectral_oracle,
     extremogram_linear,
     series_lag_for_accuracy,

@@ -32,6 +32,7 @@ from .core import (
     UpperRay,
     exceedance_indicators,
     fourier_grid,
+    require_bytes,
     threshold_from_quantile,
 )
 from .trigsums import SingularFrequencyError
@@ -109,6 +110,7 @@ def parse_grid(text: str, n: int | None) -> FrequencyGrid:
             a, b, k = float(parts[1]), float(parts[2]), int(parts[3])
             if k < 1:
                 raise ParameterError("linspace grid needs at least one point")
+            require_bytes(k, f"{k} grid points")
             return FrequencyGrid.from_frequencies(np.linspace(a, b, k))
         if parts[0] == "list" and len(parts) == 2:
             vals = [float(v) for v in parts[1].split(",") if v != ""]
@@ -155,7 +157,6 @@ def read_series_csv(path) -> np.ndarray:
 # simulate
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the generators report overflow once
 def cmd_simulate(args) -> int:
     noise = parse_noise(args.noise)
     desc: dict = {"model": args.model, "noise": noise.describe()}
@@ -449,11 +450,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-3`` into ``--flag=-1e-3``: argparse reads '-1e-3' as a flag."""
+    out: list[str] = []
+    for token in argv:
+        if token.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
+            try:
+                float(token)
+                out[-1] += "=" + token
+                continue
+            except ValueError:
+                pass
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        # non-finite intermediates are checked and reported as errors, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = parser.parse_args(argv)
+            return args.func(args)
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -45,6 +45,16 @@ def require_finite(values, message: str):
     return values
 
 
+# largest array that one input may make the package allocate
+MAX_BYTES = 2**30
+
+
+def require_bytes(count: int, what: str) -> None:
+    """Raise ParameterError before allocating ``count`` float64 values above MAX_BYTES."""
+    if 8 * count > MAX_BYTES:
+        raise ParameterError(f"{what} need {8 * count} bytes, above the {MAX_BYTES}-byte limit")
+
+
 # ---------------------------------------------------------------------------
 # Tail sets
 #
@@ -255,7 +265,8 @@ def fourier_grid(n: int) -> FrequencyGrid:
     """
     if n < 2:
         raise InputError("need at least two observations for a Fourier grid")
-    jmax = math.ceil(n / 2) - 1
+    jmax = (n + 1) // 2 - 1  # ceil(n/2) - 1 without a float
+    require_bytes(jmax, f"{jmax} Fourier frequencies")
     j = np.arange(1, jmax + 1, dtype=np.int64)
     return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
 

@@ -26,6 +26,7 @@ from .core import (
     IndicatorSeries,
     ParameterError,
     fourier_grid,
+    require_bytes,
     require_finite,
     smoothing_window_starts,
 )
@@ -51,10 +52,6 @@ class Extremogram:
             raise ParameterError("extremogram needs at least the lag-0 value")
         if np.any(rho < -1e-12) or np.any(rho > 1.0 + 1e-12):
             raise ParameterError("extremogram values must lie in [0, 1]")
-
-    @property
-    def max_lag(self) -> int:
-        return self.rho.size - 1
 
     def stderr(self) -> np.ndarray:
         """Binomial surrogate standard errors sqrt(rho*(1-rho)/n_events)."""
@@ -127,6 +124,7 @@ def daniell_window(s: int) -> WeightWindow:
     """Equal weights 1/(2s+1) over offsets -s..s."""
     if s < 0:
         raise ParameterError("half-width must be nonnegative")
+    require_bytes(2 * s + 1, f"{2 * s + 1} window weights")
     return WeightWindow(weights=np.full(2 * s + 1, 1.0 / (2 * s + 1)), half_width=s)
 
 
@@ -179,29 +177,20 @@ def _lag_products(v: np.ndarray, max_lag: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Transforms and periodograms
 #
-# Two evaluation paths are provided: a direct O(n)-per-frequency loop
-# and an FFT pass over the full Fourier grid.  They agree to ~1e-10 and
-# the test suite enforces that.
+# The grid picks the evaluation path: one FFT on the Fourier grid of n,
+# an O(n)-per-frequency direct sum anywhere else.  They agree to ~1e-10
+# and the test suite enforces that.
 
 
 def _direct_sums(centered: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine sums of the centered indicators, t = 1..n."""
-    n = centered.size
-    t = np.arange(1, n + 1, dtype=np.int64)
+    t = np.arange(1, centered.size + 1)
     cos_sums = np.empty(len(grid))
     sin_sums = np.empty(len(grid))
-    if grid.fourier and grid.n_ref == n:
-        # exact angle reduction: j*t mod n keeps arguments small, which
-        # matters for cancellation checks at the 1e-10 level
-        for i, j in enumerate(grid.indices):
-            ang = (2.0 * np.pi / n) * ((j * t) % n)
-            cos_sums[i] = np.dot(centered, np.cos(ang))
-            sin_sums[i] = np.dot(centered, np.sin(ang))
-    else:
-        for i, lam in enumerate(grid.freqs):
-            ang = lam * t
-            cos_sums[i] = np.dot(centered, np.cos(ang))
-            sin_sums[i] = np.dot(centered, np.sin(ang))
+    for i, lam in enumerate(grid.freqs):
+        ang = lam * t
+        cos_sums[i] = np.dot(centered, np.cos(ang))
+        sin_sums[i] = np.dot(centered, np.sin(ang))
     return cos_sums, sin_sums
 
 
@@ -211,19 +200,12 @@ def _fft_power(centered: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.abs(spec[indices]) ** 2
 
 
-def _squared_modulus(ind: IndicatorSeries, grid: FrequencyGrid, method: str) -> np.ndarray:
+def _squared_modulus(ind: IndicatorSeries, grid: FrequencyGrid) -> np.ndarray:
     centered = ind.centered()
-    fft_ok = grid.fourier and grid.n_ref == ind.n
-    if method == "auto":
-        method = "fft" if fft_ok else "direct"
-    if method == "fft":
-        if not fft_ok:
-            raise ParameterError("fft path needs Fourier frequencies of this series length")
+    if grid.fourier and grid.n_ref == ind.n:
         return _fft_power(centered, grid.indices)
-    if method == "direct":
-        cos_sums, sin_sums = _direct_sums(centered, grid)
-        return cos_sums**2 + sin_sums**2
-    raise ParameterError(f"unknown method {method!r}")
+    cos_sums, sin_sums = _direct_sums(centered, grid)
+    return cos_sums**2 + sin_sums**2
 
 
 def sine_cosine_transforms(ind: IndicatorSeries, lam: float, m: float | None = None) -> SineCosinePair:
@@ -238,23 +220,16 @@ def sine_cosine_transforms(ind: IndicatorSeries, lam: float, m: float | None = N
     return SineCosinePair(alpha=scale * float(cos_sum), beta=scale * float(sin_sum), freq=lam)
 
 
-def periodogram(
-    ind: IndicatorSeries,
-    grid: FrequencyGrid,
-    m: float | None = None,
-    method: str = "auto",
-) -> SpectralEstimate:
+def periodogram(ind: IndicatorSeries, grid: FrequencyGrid, m: float | None = None) -> SpectralEstimate:
     """Tail-event periodogram (m/n) |sum_t (I_t - p0) e^(-i t lam)|^2."""
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty")
     m = _resolve_m(ind, m)
-    values = (m / ind.n) * _squared_modulus(ind, grid, method)
+    values = (m / ind.n) * _squared_modulus(ind, grid)
     return SpectralEstimate(grid=grid, values=values, kind="raw_periodogram")
 
 
-def standardized_periodogram(
-    ind: IndicatorSeries, grid: FrequencyGrid, method: str = "auto"
-) -> SpectralEstimate:
+def standardized_periodogram(ind: IndicatorSeries, grid: FrequencyGrid) -> SpectralEstimate:
     """Periodogram divided by the scaled event rate; free of m.
 
     Equals |sum_t (I_t - p0) e^(-i t lam)|^2 / sum_t I_t, the ratio in
@@ -264,7 +239,7 @@ def standardized_periodogram(
         raise ParameterError("frequency grid is empty")
     if ind.n_events < 1:
         raise DegenerateDataError("no tail events: standardized periodogram undefined")
-    values = _squared_modulus(ind, grid, method) / ind.n_events
+    values = _squared_modulus(ind, grid) / ind.n_events
     return SpectralEstimate(grid=grid, values=values, kind="standardized_periodogram")
 
 
@@ -276,24 +251,6 @@ def _warn_if_truncation_outruns(ind: IndicatorSeries, r: int, m: float) -> None:
             f"(r^2 exceeds n/m = {ind.n / m:.1f}); the estimate may be unstable",
             stacklevel=3,
         )
-
-
-def lag_window_estimate(
-    ind: IndicatorSeries,
-    lam: float,
-    r: int,
-    m: float | None = None,
-    standardized: bool = False,
-) -> float:
-    """Truncated cosine series over sample tail autocovariances.
-
-    Returns gamma(0) + 2 * sum_{h<=r} cos(lam*h) * gamma(h) with
-    gamma(0) = (m/n) sum I_t and gamma(h) = (m/n) sum (I_t-p0)(I_{t+h}-p0).
-    The truncation may produce negative values; they are reported as-is.
-    With ``standardized`` the result is divided by the scaled event rate.
-    """
-    grid = FrequencyGrid.from_frequencies([lam])
-    return float(lag_window_curve(ind, grid, r, m, standardized).values[0])
 
 
 def lag_window_curve(
@@ -322,16 +279,6 @@ def lag_window_curve(
     if standardized:
         values = values / tail_event_rate(ind, m)
     return SpectralEstimate(grid=grid, values=values, kind="lag_window")
-
-
-def smoothed_periodogram(ind: IndicatorSeries, lam: float, window: WeightWindow) -> float:
-    """Weighted average of standardized ordinates around ``lam``.
-
-    The ordinates live on the 2s+1 Fourier frequencies centered at the
-    first Fourier frequency at or above ``lam``; the result is a convex
-    combination, so it lies between the smallest and largest ordinate.
-    """
-    return float(smoothed_at_frequencies(ind, lam, window).values[0])
 
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:

@@ -20,6 +20,7 @@ from .core import (
     FrequencyGrid,
     IndicatorSeries,
     ParameterError,
+    require_bytes,
     smoothing_window_starts,
 )
 from .estimators import (
@@ -90,10 +91,6 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     return lo, hi
 
 
-# largest B x T replicate matrix permutation_band allocates: 8*B*T bytes
-BAND_MAX_BYTES = 2**30
-
-
 def permutation_band(
     ind: IndicatorSeries,
     window: WeightWindow,
@@ -117,7 +114,7 @@ def permutation_band(
     Replicate b draws its permutation from the b-th child of
     ``SeedSequence(seed)``, so the result depends only on ``seed``.
     Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid), at
-    most ``BAND_MAX_BYTES``), sorted in place, plus O(n) for one replicate
+    most ``core.MAX_BYTES``), sorted in place, plus O(n) for one replicate
     at a time.
     """
     lo_k, hi_k = envelope_order_statistics(replicates, level)
@@ -125,11 +122,7 @@ def permutation_band(
         raise ParameterError("band seed must be a nonnegative integer")
     if len(grid) == 0:
         raise ParameterError("frequency grid is empty")
-    if 8 * replicates * len(grid) > BAND_MAX_BYTES:
-        raise ParameterError(
-            f"{replicates} replicates on {len(grid)} frequencies need "
-            f"{8 * replicates * len(grid)} bytes, above the {BAND_MAX_BYTES}-byte limit"
-        )
+    require_bytes(replicates * len(grid), f"{replicates} replicates on {len(grid)} frequencies")
     if replicates < 19:
         warnings.warn(
             f"{replicates} replicates cannot resolve a 95% envelope; use 19 or more",

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DegenerateDataError, ParameterError, require_finite
+from .core import DegenerateDataError, ParameterError, require_bytes, require_finite
 from .estimators import Extremogram
 from .trigsums import cos_arith_sum, geometric_trig_sum
 
@@ -91,11 +91,16 @@ class LinearFilter:
         if total <= 0:
             raise DegenerateDataError("filter has zero tail mass")
         rr = abs(ratio) ** tail.alpha
+        if rr == 1.0:
+            raise ParameterError(
+                f"|ratio|**alpha rounds to 1 for ratio={ratio!r}, alpha={tail.alpha!r}"
+            )
         # smallest L with |c_last|^alpha * rr^... geometric bound below rel_eps*total
         head = abs(base[-1]) ** tail.alpha * rr / (1.0 - rr)
         if head <= rel_eps * total:
             return base
         extra = math.ceil(math.log(rel_eps * total / head) / math.log(rr)) + 2
+        require_bytes(extra, f"{extra} filter coefficients")
         ext = base[-1] * ratio ** np.arange(1, extra + 1)
         return np.concatenate([base, ext])
 
@@ -129,6 +134,7 @@ def extremogram_linear(
     """
     if max_lag < 0:
         raise ParameterError("need max_lag >= 0")
+    require_bytes(max_lag + 1, f"{max_lag + 1} lags")
     alpha, p, q = tail.alpha, tail.upper_share, tail.lower_share
     psi = filt.materialize(tail, rel_eps)
     pos = np.maximum(psi, 0.0) ** alpha
@@ -160,10 +166,6 @@ class SpectralDensityOracle:
         if freqs.size and not (np.all(freqs > 0) and np.all(freqs < math.pi)):
             raise ParameterError("oracle frequencies must lie in (0, pi)")
         return np.asarray(self.fn(freqs), dtype=float)
-
-    def __call__(self, lam):
-        out = self.evaluate(lam)
-        return float(out[0]) if np.isscalar(lam) else out
 
 
 def spectral_from_extremogram(rho, max_lag: int | None = None) -> SpectralDensityOracle:
@@ -250,8 +252,8 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     except OverflowError:
         raise ParameterError(f"|phi+theta|**alpha overflows for theta={theta!r}") from None
     fa = aphi**alpha
-    if fa == 1.0:
-        raise ParameterError(f"|phi|**alpha rounds to 1 for phi={phi!r}, alpha={alpha!r}")
+    if fa in (0.0, 1.0):  # 1: rho never decays; 0: the segments divide by fa or take its log
+        raise ParameterError(f"|phi|**alpha rounds to {fa:g} for phi={phi!r}, alpha={alpha!r}")
     f2 = aphi ** (2.0 * alpha)
 
     if case == "pos_pos":
@@ -288,22 +290,13 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     ]
 
 
-def arma11_extremogram_closed(phi: float, theta: float, tail: TailIndexSpec, h: int) -> float:
-    """Exact serial tail dependence of an ARMA(1,1) at lag h, set (1, inf)."""
-    return float(arma11_extremogram_curve(phi, theta, tail, h).rho[h])
-
-
-def arma11_spectral_closed(phi: float, theta: float, tail: TailIndexSpec, lam: float) -> float:
-    """Exact spectral density of the ARMA(1,1) tail dependence at one frequency."""
-    return arma11_spectral_oracle(phi, theta, tail)(lam)
-
-
 def arma11_extremogram_curve(
     phi: float, theta: float, tail: TailIndexSpec, max_lag: int
 ) -> Extremogram:
     """Closed-form tail dependence at lags 0..max_lag."""
     if max_lag < 0:
         raise ParameterError("lag must be nonnegative")
+    require_bytes(max_lag + 1, f"{max_lag + 1} lags")
     rho = np.zeros(max_lag + 1)
     rho[0] = 1.0
     _, segments = _arma11_segments(phi, theta, tail)
@@ -315,7 +308,7 @@ def arma11_extremogram_curve(
 
 
 def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> SpectralDensityOracle:
-    """Callable closed-form spectral density f = 1 + 2 sum_h rho(h) cos(h lam)."""
+    """Closed-form spectral density f = 1 + 2 sum_h rho(h) cos(h lam)."""
     case, segments = _arma11_segments(phi, theta, tail)
 
     def fn(freqs: np.ndarray) -> np.ndarray:

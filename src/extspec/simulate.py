@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 from scipy import signal
 
-from .core import ParameterError, require_finite
+from .core import ParameterError, require_bytes, require_finite
 from .oracles import TailIndexSpec
 
 _OVERFLOW = "the model parameters overflow the floating-point range"
@@ -80,6 +80,7 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
         raise ParameterError("need n >= 1")
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
+    require_bytes(n, f"{n} noise values")
     rng = np.random.default_rng(seed)
     if isinstance(spec, ParetoBalanced):
         u = 1.0 - rng.random(n)  # uniform on (0, 1]; keeps U**(-1/alpha) finite

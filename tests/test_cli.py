@@ -397,6 +397,10 @@ BAD_MODEL_PARAMETERS = [
     ["oracle", "arma11", "--phi", 0.8, "--theta", "1e308", "--alpha", 3],
     ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", "inf"],
     ["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0],
+    # |phi|**alpha underflows to 0, and |phi|**alpha rounds to 1 in the max-MA filter tail
+    ["oracle", "arma11", "--phi", -0.6, "--theta", 0.1, "--alpha", "1e308"],
+    ["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000],
+    ["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"],
 ]
 
 
@@ -409,14 +413,60 @@ def test_bad_model_parameters_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+# each size asks for more than a 2**47-byte address space, so a size that
+# went unchecked would fail in the allocator at once, not after allocating
+HUGE = 10**17
+SIZES_ABOVE_LIMIT = [
+    ["simulate", "iid", "--n", HUGE, "--seed", 1],
+    ["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--burnin", HUGE, "--n", 10, "--seed", 1],
+    # the filter tail needs 1.4e16 coefficients
+    ["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-13", "--n", 10,
+     "--seed", 1],
+    ["analyze", "--window", f"daniell:{HUGE}"],
+    ["analyze", "--grid", f"fourier:{HUGE}"],
+    ["analyze", "--grid", f"linspace:0.5:2.5:{HUGE}"],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3, "--max-lag", HUGE],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 1e-13],  # series depth 1.2e15
+]
+
+
+@pytest.mark.parametrize("argv", SIZES_ABOVE_LIMIT, ids=lambda a: " ".join(map(str, a)))
+def test_size_above_memory_limit_exit_2(argv, sim_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    sink = {
+        "simulate": ["--out", out],
+        "analyze": ["--input", sim_file, "--out-dir", out],
+        "oracle": ["--out-dir", out],
+    }[argv[0]]
+    assert run([*argv, *sink]) == 2
+    assert "byte limit" in single_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "arma11", "--phi", 0.8, "--alpha", 3, "--grid", "list:0.5,1.5", "--out-dir"],
+     ["simulate", "arma11", "--phi", 0.8, "--n", 20, "--seed", 1, "--out"]],
+    ids=["oracle", "simulate"],
+)
+def test_negative_exponent_value_is_not_a_flag(argv, tmp_path):
+    outputs = []
+    for i, theta in enumerate([["--theta", "-1e-3"], ["--theta=-1e-3"]]):
+        out = tmp_path / str(i)
+        assert run([*argv[:2], *theta, *argv[2:], out]) == 0
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        outputs.append([f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # argv property: any flag values give exit 0, 2 or 3, never a traceback
 
 # values that break a flag; "1e308" stands in for huge, except on the size
 # flags (--n, --burnin, --max-lag, daniell:S, fourier:N, linspace K), which
-# allocate what they ask for before any check and so stop at 4096
+# take integers and are checked against the memory limit before allocating
 NASTY = ["nan", "inf", "-inf", "-1", "0", "", "1e308"]
-SIZE_NASTY = ["nan", "-1", "0", "", "4096"]
+SIZE_NASTY = ["nan", "-1", "0", "", "4096", str(HUGE)]
 
 SIMULATE_FLAGS = {
     "--noise": (["t:3", "pareto:3:0.5", "pareto:2"],
@@ -433,6 +483,7 @@ SIMULATE_FLAGS = {
     "--seed": (["0", "7"], ["-1", "", "nan", str(2**64)]),
 }
 GRID_NASTY = ["fourier:0", "fourier:-1", "fourier:4096", "linspace:0.5:2.5:4096",
+              f"fourier:{HUGE}", f"linspace:0.5:2.5:{HUGE}",
               "linspace:nan:1:3", "linspace:0.5:inf:3", "linspace:0.5:2.5:0", "list:",
               "list:nan", "list:inf", "list:1e308", "list:-1", "list:2,1", "", "mesh:1"]
 ANALYZE_FLAGS = {
@@ -483,7 +534,7 @@ def argvs(draw):
         else:
             value = draw(st.sampled_from(valid))
         if value is not None:
-            argv.append(f"{flag}={value}")  # '=' keeps '-inf' a value, not a flag
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     return argv
 
 
@@ -539,18 +590,21 @@ class TestArgvProperty:
     @settings(max_examples=300, deadline=None)
     def test_exit_code_error_line_and_finite_outputs(self, argv, argv_dir):
         out = Path(tempfile.mkdtemp(dir=argv_dir))
-        argv = [a.replace("--input=", f"--input={argv_dir}/") for a in argv]
+        argv = [f"{argv_dir}/{a}" if prev == "--input"
+                else a.replace("--input=", f"--input={argv_dir}/")
+                for prev, a in zip(["", *argv], argv)]
         argv += [f"--out={out / 'x.csv'}"] if argv[0] == "simulate" else [f"--out-dir={out}"]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse rejects the flag itself
                     code = exc.code
         err = stderr.getvalue()
         assert code in (0, 2, 3), (argv, err)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
         assert "Traceback" not in err, (argv, err)
         if code == 0:
             _assert_finite_outputs(argv[0], out)

@@ -13,13 +13,12 @@ from extspec import (
     StudentT,
     TailIndexSpec,
     UpperRay,
-    arma11_spectral_closed,
+    arma11_spectral_oracle,
     canonical_m,
     daniell_window,
     exceedance_indicators,
     fourier_grid,
     lag_window_curve,
-    lag_window_estimate,
     periodogram,
     sample_extremogram,
     sample_noise,
@@ -28,7 +27,6 @@ from extspec import (
     smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
-    smoothed_periodogram,
     standardized_periodogram,
     tail_event_rate,
     threshold_from_quantile,
@@ -188,14 +186,10 @@ class TestPeriodogram:
     def test_direct_and_fft_paths_agree(self, make_indicators, n, rate, seed):
         ind = random_indicators(make_indicators, np.random.default_rng(seed), n=n, rate=rate)
         grid = fourier_grid(ind.n)
-        d = standardized_periodogram(ind, grid, method="direct").values
-        f = standardized_periodogram(ind, grid, method="fft").values
+        f = standardized_periodogram(ind, grid).values
+        # the same frequencies as an arbitrary grid take the direct sums
+        d = standardized_periodogram(ind, FrequencyGrid.from_frequencies(grid.freqs)).values
         assert np.max(np.abs(d - f)) < 1e-10
-
-    def test_fft_requires_matching_grid(self, make_indicators):
-        ind = make_indicators([1, 0, 0, 1, 0, 0, 1, 0])
-        with pytest.raises(ParameterError):
-            periodogram(ind, FrequencyGrid.from_frequencies([0.5, 1.0]), m=1.0, method="fft")
 
     def test_empty_grid_rejected(self, make_indicators):
         ind = make_indicators([1, 0])
@@ -251,10 +245,11 @@ class TestStandardizedPeriodogram:
 class TestLagWindow:
     def test_zero_truncation(self, make_indicators):
         ind = make_indicators([1, 0, 1, 0, 0, 1])
-        assert lag_window_estimate(ind, 1.0, 0) == pytest.approx(
+        grid = FrequencyGrid.from_frequencies([1.0])
+        assert lag_window_curve(ind, grid, 0).values[0] == pytest.approx(
             tail_event_rate(ind), abs=1e-15
         )
-        assert lag_window_estimate(ind, 1.0, 0, standardized=True) == pytest.approx(
+        assert lag_window_curve(ind, grid, 0, standardized=True).values[0] == pytest.approx(
             1.0, abs=1e-15
         )
 
@@ -270,7 +265,6 @@ class TestLagWindow:
                 acc += 2 * math.cos(lam * h) * (m / 128) * float(np.dot(c[:-h], c[h:]))
             return acc
 
-        assert lag_window_estimate(ind, 0.9, r, m=m) == pytest.approx(expected(0.9), abs=1e-12)
         lams = [0.05, 0.9, 1.7, 2.6, 3.1]
         curve = lag_window_curve(ind, FrequencyGrid.from_frequencies(lams), r, m=m)
         for lam, got in zip(lams, curve.values):
@@ -279,13 +273,13 @@ class TestLagWindow:
     def test_truncation_bound(self, make_indicators):
         ind = make_indicators([1, 0, 1, 0])
         with pytest.raises(ParameterError):
-            lag_window_estimate(ind, 1.0, 4)
+            lag_window_curve(ind, FrequencyGrid.from_frequencies([1.0]), 4)
 
     def test_frequency_domain_restriction(self, make_indicators):
         ind = make_indicators([1, 0, 1, 0, 0, 1])
         for lam in (0.0, math.pi, -1.0):
             with pytest.raises(ParameterError):
-                lag_window_estimate(ind, lam, 2)
+                lag_window_curve(ind, FrequencyGrid.from_frequencies([lam]), 2)
 
     def test_can_go_negative(self, make_indicators):
         # a period-2 event pattern concentrates all mass near the top
@@ -293,27 +287,24 @@ class TestLagWindow:
         bits = np.zeros(32, dtype=bool)
         bits[::2] = True
         ind = make_indicators(bits)
+        grid = FrequencyGrid.from_frequencies(np.linspace(0.3, 2.8, 40))
         with pytest.warns(UserWarning):
-            values = [
-                lag_window_estimate(ind, lam, 8, standardized=True)
-                for lam in np.linspace(0.3, 2.8, 40)
-            ]
-        assert min(values) < 0.0
+            values = lag_window_curve(ind, grid, 8, standardized=True).values
+        assert values.min() < 0.0
 
     def test_warns_when_truncation_outruns_events(self, make_indicators):
         bits = np.zeros(64, dtype=bool)
         bits[[3, 17, 31, 49]] = True
         ind = make_indicators(bits)
         with pytest.warns(UserWarning, match="truncation"):
-            lag_window_estimate(ind, 1.0, 3)
+            lag_window_curve(ind, FrequencyGrid.from_frequencies([1.0]), 3)
 
     def test_iid_standardized_near_one(self):
         x = sample_noise(StudentT(3), 2**15, 11)
         thr = threshold_from_quantile(x, 0.98)
         ind = exceedance_indicators(x, UpperRay(1.0), thr)
-        assert lag_window_estimate(ind, 1.0, 20, standardized=True) == pytest.approx(
-            1.0, abs=0.15
-        )
+        curve = lag_window_curve(ind, FrequencyGrid.from_frequencies([1.0]), 20, standardized=True)
+        assert curve.values[0] == pytest.approx(1.0, abs=0.15)
 
     def test_curve_matches_pointwise_and_may_go_negative(self, make_indicators):
         rng = np.random.default_rng(31)
@@ -325,8 +316,9 @@ class TestLagWindow:
             _warnings.simplefilter("ignore")
             curve = lag_window_curve(ind, grid, r=9, m=2.0)
             for i in (0, 10, 30):
+                point = FrequencyGrid.from_frequencies(grid.freqs[i : i + 1])
                 assert curve.values[i] == pytest.approx(
-                    lag_window_estimate(ind, grid.freqs[i], 9, m=2.0), abs=1e-12
+                    lag_window_curve(ind, point, 9, m=2.0).values[0], abs=1e-12
                 )
             assert curve.kind == "lag_window"
             # the lag-window kind tolerates negative ordinates
@@ -340,10 +332,11 @@ class TestLagWindow:
         x = simulate_arma11(spec, 2**15, 4)
         thr = threshold_from_quantile(x, 0.98)
         ind = exceedance_indicators(x, UpperRay(1.0), thr)
+        grid = FrequencyGrid.from_frequencies([1.0])
         with pytest.warns(UserWarning):
-            got = lag_window_estimate(ind, 1.0, 50, standardized=True)
-        oracle = arma11_spectral_closed(0.8, 0.1, TailIndexSpec(3, 0.5), 1.0)
-        assert got == pytest.approx(oracle, abs=0.25)
+            got = lag_window_curve(ind, grid, 50, standardized=True).values
+        oracle = arma11_spectral_oracle(0.8, 0.1, TailIndexSpec(3, 0.5)).evaluate(grid.freqs)
+        assert got[0] == pytest.approx(oracle[0], abs=0.25)
 
 
 class TestWindows:
@@ -374,7 +367,7 @@ class TestSmoothedPeriodogram:
         bits = np.zeros(64, dtype=bool)
         bits[10] = True
         ind = make_indicators(bits)
-        assert smoothed_periodogram(ind, 1.0, daniell_window(3)) == pytest.approx(
+        assert smoothed_at_frequencies(ind, [1.0], daniell_window(3)).values[0] == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -387,7 +380,7 @@ class TestSmoothedPeriodogram:
             w = daniell_window(s)
             j0 = smoothing_window_starts(lam, 512, s)[0]  # fourier_grid starts at j = 1
             ords = standardized_periodogram(ind, fourier_grid(512)).values[j0 - 1 : j0 + 2 * s]
-            got = smoothed_periodogram(ind, lam, w)
+            got = smoothed_at_frequencies(ind, [lam], w).values[0]
             assert ords.min() - 1e-12 <= got <= ords.max() + 1e-12
             # equal weights reduce to the arithmetic mean
             assert got == pytest.approx(float(ords.mean()), rel=1e-12)
@@ -397,15 +390,13 @@ class TestSmoothedPeriodogram:
         ind = random_indicators(make_indicators, rng, n=256)
         w = daniell_window(4)
         curve = smoothed_curve(ind, w)
-        for i in (0, 20, len(curve.grid) - 1):
-            lam = curve.grid.freqs[i]
-            assert curve.values[i] == pytest.approx(
-                smoothed_periodogram(ind, lam, w), rel=1e-10
-            )
+        picked = [0, 20, len(curve.grid) - 1]
+        at = smoothed_at_frequencies(ind, curve.grid.freqs[picked], w)
+        assert at.values == pytest.approx(curve.values[picked], rel=1e-10)
         some = curve.grid.freqs[[3, 40, 77]]
         batch = smoothed_at_frequencies(ind, some, w)
         for lam, v in zip(some, batch.values):
-            assert v == pytest.approx(smoothed_periodogram(ind, lam, w), rel=1e-10)
+            assert v == pytest.approx(smoothed_at_frequencies(ind, [lam], w).values[0], rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(64, 2048), s=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))

@@ -28,7 +28,7 @@ from extspec import (
     thin_grid,
     threshold_from_quantile,
 )
-from extspec.inference import BAND_MAX_BYTES
+from extspec.core import MAX_BYTES
 
 
 def flat_curve(n_points=20, value=1.0):
@@ -129,7 +129,7 @@ class TestPermutationBand:
 
         ind = self._indicators()
         grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
-        too_many = BAND_MAX_BYTES // (8 * len(grid)) + 1
+        too_many = MAX_BYTES // (8 * len(grid)) + 1
         monkeypatch.setattr(np.random, "SeedSequence", no_allocation)
         monkeypatch.setattr(np, "empty", no_allocation)
         with pytest.raises(ParameterError, match="byte limit"):

@@ -9,10 +9,8 @@ from extspec import (
     ParameterError,
     TailIndexSpec,
     UnsupportedCaseError,
-    arma11_extremogram_closed,
     arma11_extremogram_curve,
     arma11_filter,
-    arma11_spectral_closed,
     arma11_spectral_oracle,
     extremogram_linear,
     series_lag_for_accuracy,
@@ -83,26 +81,26 @@ class TestSeriesSpectralDensity:
 
     def test_ma1_one_term_series(self):
         oracle = spectral_from_extremogram(np.array([1.0, 1.0 / 3.0]))
-        for lam in (0.3, 1.2, 2.9):
-            assert oracle(lam) == pytest.approx(1 + (2.0 / 3.0) * math.cos(lam), abs=1e-14)
+        lams = np.array([0.3, 1.2, 2.9])
+        assert np.max(np.abs(oracle.evaluate(lams) - (1 + (2.0 / 3.0) * np.cos(lams)))) < 1e-14
 
     def test_domain_validation(self):
         oracle = spectral_from_extremogram(np.array([1.0, 0.2]))
         with pytest.raises(ParameterError):
-            oracle(3.2)
+            oracle.evaluate([3.2])
 
 
 class TestClosedFormExtremogram:
     def test_lag_zero_and_degenerate(self):
-        assert arma11_extremogram_closed(0.8, 0.1, T3, 0) == 1.0
-        assert arma11_extremogram_closed(0.5, -0.5, T3, 3) == 0.0
+        assert arma11_extremogram_curve(0.8, 0.1, T3, 0).rho.tolist() == [1.0]
+        assert arma11_extremogram_curve(0.5, -0.5, T3, 3).rho.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_threshold_lag_enumeration(self):
         # 0.9**3 * 1.4 > 1 >= 0.9**4 * 1.4: the piecewise form switches
         # branch after lag 4, where the decay turns exactly geometric
         tail = TailIndexSpec(alpha=1, upper_share=0.5)
         assert 0.9**3 * 1.4 > 1.0 >= 0.9**4 * 1.4
-        rho = [arma11_extremogram_closed(0.9, 0.5, tail, h) for h in range(1, 8)]
+        rho = arma11_extremogram_curve(0.9, 0.5, tail, 7).rho[1:]
         brute = extremogram_linear(arma11_filter(0.9, 0.5), tail, 7)
         assert np.allclose(rho, brute.rho[1:], atol=1e-12)
         c1, c2 = 0.1 / 1.5, 1.4 / 1.5
@@ -112,9 +110,9 @@ class TestClosedFormExtremogram:
 
     def test_odd_lags_vanish_when_both_signs_negative(self):
         tail = TailIndexSpec(alpha=2.5, upper_share=0.7)
-        for h in (1, 3, 5, 7):
-            assert arma11_extremogram_closed(-0.6, -0.2, tail, h) == 0.0
-        assert arma11_extremogram_closed(-0.6, -0.2, tail, 2) > 0.0
+        rho = arma11_extremogram_curve(-0.6, -0.2, tail, 7).rho
+        assert np.all(rho[1::2] == 0.0)
+        assert rho[2] > 0.0
 
     def test_agrees_with_brute_force_all_cases(self):
         rng = np.random.default_rng(404)
@@ -148,20 +146,20 @@ class TestClosedFormExtremogram:
 
     def test_unsupported_balance(self):
         with pytest.raises(UnsupportedCaseError):
-            arma11_extremogram_closed(0.8, 0.1, TailIndexSpec(3, 0.0), 1)
+            arma11_extremogram_curve(0.8, 0.1, TailIndexSpec(3, 0.0), 1)
         with pytest.raises(UnsupportedCaseError):
-            arma11_extremogram_closed(0.8, -0.9, TailIndexSpec(3, 1.0), 1)
+            arma11_extremogram_curve(0.8, -0.9, TailIndexSpec(3, 1.0), 1)
         with pytest.raises(UnsupportedCaseError):
-            arma11_extremogram_closed(-0.8, 0.1, TailIndexSpec(3, 0.0), 1)
+            arma11_extremogram_curve(-0.8, 0.1, TailIndexSpec(3, 0.0), 1)
 
 
 class TestClosedFormSpectralDensity:
     def test_degenerate_filter_is_flat(self):
-        for lam in (0.2, 1.5, 3.0):
-            assert arma11_spectral_closed(0.5, -0.5, T3, lam) == 1.0
+        density = arma11_spectral_oracle(0.5, -0.5, T3).evaluate([0.2, 1.5, 3.0])
+        assert density.tolist() == [1.0, 1.0, 1.0]
 
     def test_low_frequency_value(self):
-        assert arma11_spectral_closed(0.8, 0.1, T3, 1e-6) == pytest.approx(
+        assert arma11_spectral_oracle(0.8, 0.1, T3).evaluate([1e-6])[0] == pytest.approx(
             3.4549752818597392, abs=1e-8
         )
 
@@ -180,9 +178,7 @@ class TestClosedFormSpectralDensity:
                 series = spectral_from_extremogram(
                     extremogram_linear(arma11_filter(phi, theta), tail, depth)
                 )
-                closed = np.array(
-                    [arma11_spectral_closed(phi, theta, tail, lam) for lam in grid]
-                )
+                closed = arma11_spectral_oracle(phi, theta, tail).evaluate(grid)
                 assert np.max(np.abs(closed - series.evaluate(grid))) < 1e-8
 
     def test_matches_exact_sum_of_closed_extremogram(self):
