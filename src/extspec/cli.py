@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,19 +124,66 @@ def parse_grid(text: str, n: int | None) -> FrequencyGrid:
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Read a one-column CSV: ``#`` comments and one optional header row."""
+    """Read a one-column CSV: ``#`` comments and one optional header row.
+
+    After the leading comment and header lines, numpy parses the rest in
+    one call.  Input that numpy rejects, warns about or reads as non-finite
+    is read again by the line reader, whose errors name the line.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
+    try:
+        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if _skip_to_data(fh):
+                x = np.loadtxt(fh, delimiter=",", usecols=0, comments=None, ndmin=1)
+                if np.isfinite(x).all():
+                    return x
+    except (ValueError, Warning):
+        pass
+    return _read_series_lines(path)
+
+
+def _first_cell(raw: str) -> str | None:
+    """The stripped first field of a line; None for a blank or ``#`` line."""
+    text = raw.strip()
+    if not text or text.startswith("#"):
+        return None
+    return text.split(",")[0].strip()
+
+
+def _skip_to_data(fh) -> bool:
+    """Move ``fh`` to its first numeric line, past comments and a header; False if none."""
+    header_allowed = True
+    while True:
+        start = fh.tell()
+        raw = fh.readline()
+        if not raw:
+            return False
+        cell = _first_cell(raw)
+        if cell is None:
+            continue
+        try:
+            float(cell)
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
+                continue
+        fh.seek(start)
+        return True
+
+
+def _read_series_lines(path: Path) -> np.ndarray:
+    """The reference reader, one line at a time: every error names its line."""
     values: list[float] = []
     header_allowed = True
     try:
         with path.open(encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
+                cell = _first_cell(raw)
+                if cell is None:
                     continue
-                cell = text.split(",")[0].strip()
                 try:
                     values.append(float(cell))
                 except ValueError:

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import (
     DegenerateDataError,
@@ -162,16 +163,27 @@ def sample_extremogram(ind: IndicatorSeries, max_lag: int) -> Extremogram:
         raise ParameterError("need 0 <= max_lag < n")
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
-    rho[1:] = _lag_products(ind.bits.astype(float), max_lag) / ind.n_events
+    rho[1:] = _lag_products(ind.bits, max_lag) / ind.n_events
     return Extremogram(rho=rho, n_events=ind.n_events)
 
 
-def _lag_products(v: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum_t v_t v_{t+h} for h = 1..max_lag."""
-    out = np.empty(max_lag)
-    for h in range(1, max_lag + 1):
-        out[h - 1] = np.dot(v[:-h], v[h:])
-    return out
+def _lag_products(bits: np.ndarray, max_lag: int) -> np.ndarray:
+    """Event pairs h apart, sum_t b_t b_{t+h}, for h = 1..max_lag (int64).
+
+    The gaps p[k:] - p[:-k] between events k apart in the position list p
+    grow with k, so the loop stops at the first k with no gap <= max_lag.
+    Worst-case cost O(events x max_lag), reached when the events are
+    adjacent; sparse tail events stop the loop much earlier.
+    """
+    p = np.flatnonzero(bits)
+    counts = np.zeros(max_lag + 1, dtype=np.int64)
+    for k in range(1, p.size):
+        gaps = p[k:] - p[:-k]
+        gaps = gaps[gaps <= max_lag]
+        if gaps.size == 0:
+            break
+        counts += np.bincount(gaps, minlength=max_lag + 1)
+    return counts[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +285,14 @@ def lag_window_curve(
     _warn_if_truncation_outruns(ind, r, m)
     gammas = np.empty(r + 1)
     gammas[0] = m / ind.n * ind.n_events
-    gammas[1:] = (m / ind.n) * _lag_products(ind.centered(), r)
+    # sum_t (b_t - p0)(b_{t+h} - p0) = C(h) - p0 (A(h) + B(h)) + (n - h) p0^2, where
+    # A(h) and B(h) count the events in the first and in the last n - h positions
     h = np.arange(1, r + 1)
+    p0, bits = ind.p0_hat, ind.bits
+    first = ind.n_events - np.cumsum(bits[::-1][:r])
+    last = ind.n_events - np.cumsum(bits[:r])
+    cov = _lag_products(bits, r) - p0 * (first + last) + (ind.n - h) * p0**2
+    gammas[1:] = (m / ind.n) * cov
     values = gammas[0] + 2.0 * (np.cos(np.outer(grid.freqs, h)) @ gammas[1:])
     if standardized:
         values = values / tail_event_rate(ind, m)

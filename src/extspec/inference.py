@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+import numpy.random  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import (
     DegenerateDataError,
@@ -186,6 +186,8 @@ def exponential_diagnostics(
         raise DegenerateDataError("all ordinates are zero")
     n = ratios.size
     ks = _ks_statistic_vs_unit_exponential(ratios)
+    from scipy import stats  # imported here: no command needs scipy
+
     pvalue = float(stats.kstwo.sf(ks, n)) if n > 1 else float("nan")
     sd = float(ratios.std(ddof=1)) if n > 1 else 0.0
     return ExpDiagnostics(

@@ -222,9 +222,11 @@ def _arma11_case(phi: float, total: float, tail: TailIndexSpec) -> str:
 
 
 def _first_index_below_one(step: float, start: float) -> int:
-    """min k >= 0 with start * step**k < 1 (0 < step < 1, start > 0)."""
+    """min k >= 0 with start * step**k < 1 (0 <= step < 1, start > 0)."""
     if start < 1.0:
         return 0
+    if step == 0.0:  # step**k underflowed: start * 0**1 < 1
+        return 1
     # log-based guess, then settle the strict float inequality exactly
     k = max(0, int(math.log(start) / -math.log(step)) - 2)
     while start * step**k >= 1.0:
@@ -259,35 +261,38 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     if case == "pos_pos":
         denom = 1.0 - fa + sa
         h0 = _first_index_below_one(fa, sa)
-        return case, [
+        segments = [
             (1, h0, 1, (1.0 - fa) / denom, 1.0),
             (1, h0, 1, fa * sa / denom, fa),
             (h0 + 1, None, 1, fa**h0 * sa / denom, fa),
         ]
-
-    if case == "pos_neg":
+    elif case == "pos_neg":
         denom = p * (1.0 - fa) + q * sa
         if denom == 0.0:  # p = 0 and |phi+theta|**alpha underflows
             raise ParameterError(f"|phi+theta|**alpha underflows for theta={theta!r}")
-        return case, [(1, None, 1, fa * q * sa / denom, fa)]
-
-    if case == "neg_pos":
+        segments = [(1, None, 1, fa * q * sa / denom, fa)]
+    elif case == "neg_pos":
         denom = p * (1.0 - f2 + sa) + q * fa * sa
         k1 = _first_index_below_one(aphi**2, total)
-        return case, [
+        segments = [
             (1, k1, 2, p * (1.0 - f2) / denom, 1.0),
             (2 * k1 + 1, None, 2, f2**k1 * p * sa * (1.0 - f2) / denom, f2),
             (2, None, 2, f2 * (p * sa + q * fa * sa) / denom, f2),
         ]
-
-    # neg_neg: odd lags vanish
-    denom = p * (1.0 - f2) + p * fa * sa + q * sa
-    k2 = _first_index_below_one(aphi**2, aphi * abs(total))
-    return case, [
-        (2, k2, 2, p * (1.0 - f2) / denom, 1.0),
-        (2, k2, 2, f2 * (p * fa * sa + q * sa) / denom, f2),
-        (2 * k2 + 2, None, 2, f2 ** (k2 + 1) * (p * sa / fa + q * sa) / denom, f2),
-    ]
+    else:  # neg_neg: odd lags vanish
+        denom = p * (1.0 - f2) + p * fa * sa + q * sa
+        k2 = _first_index_below_one(aphi**2, aphi * abs(total))
+        segments = [
+            (2, k2, 2, p * (1.0 - f2) / denom, 1.0),
+            (2, k2, 2, f2 * (p * fa * sa + q * sa) / denom, f2),
+            (2 * k2 + 2, None, 2, f2 ** (k2 + 1) * (p * sa / fa + q * sa) / denom, f2),
+        ]
+    # an underflowed power times an overflowed one leaves nan
+    require_finite(
+        [coef for _, _, _, coef, _ in segments],
+        f"the closed form overflows for phi={phi!r}, theta={theta!r}, alpha={alpha!r}",
+    )
+    return case, segments
 
 
 def arma11_extremogram_curve(

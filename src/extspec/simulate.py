@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import signal
+import numpy.random  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import ParameterError, require_bytes, require_finite
 from .oracles import TailIndexSpec
 
 _OVERFLOW = "the model parameters overflow the floating-point range"
+_CHUNK = 2**16  # values per pass of the filter loop
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,29 @@ class Arma11Spec:
         require_finite(self.theta, "moving-average coefficient theta must be finite")
 
 
+def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:
+    """y_t = x_t + b1 * x_{t-1} + a * y_{t-1}, started at rest.
+
+    The operations and their order are those of
+    ``scipy.signal.lfilter([1, b1], [1, -a], x)`` (transposed direct form
+    II: y = s + x, then s = x*b1 - y*(-a)), so the output is the same bit
+    for bit, signed zeros included.  The loop runs on Python floats,
+    which are IEEE doubles rounded exactly as in C, ``_CHUNK`` at a time
+    to bound their memory.
+    """
+    out = np.empty(x.size)
+    na = -a
+    s = 0.0
+    for start in range(0, x.size, _CHUNK):
+        ys = []
+        for xt in x[start : start + _CHUNK].tolist():
+            y = s + xt
+            ys.append(y)
+            s = xt * b1 - y * na
+        out[start : start + len(ys)] = ys
+    return out
+
+
 def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = None) -> np.ndarray:
     """Simulate the ARMA(1,1) recursion started at rest.
 
@@ -133,7 +157,7 @@ def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = No
     if burnin < 0:
         raise ParameterError("burn-in must be nonnegative")
     z = sample_noise(spec.noise, n + burnin, seed)
-    x = signal.lfilter([1.0, spec.theta], [1.0, -spec.phi], z)
+    x = _first_order_filter(z, spec.theta, spec.phi)
     return require_finite(x[burnin:], _OVERFLOW)
 
 
@@ -178,7 +202,7 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
     a = spec.logvol_ar
     v0 = spec.logvol_sd / math.sqrt(1.0 - a * a) * vol_rng.standard_normal()
     eps = spec.logvol_sd * vol_rng.standard_normal(total)
-    v = signal.lfilter([1.0], [1.0, -a], eps)
+    v = _first_order_filter(eps, 0.0, a)
     if v0 != 0.0:
         v = v + v0 * a ** np.arange(1, total + 1)
     return require_finite((np.exp(v) * z)[burnin:], _OVERFLOW)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extspec.cli import (
@@ -99,6 +102,78 @@ class TestReadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             read_series_csv(tmp_path / "nope.csv")
+
+    def test_clean_file_takes_one_numpy_call(self, tmp_path, monkeypatch):
+        # comments, a header and CRLF line ends stay on the fast path
+        def no_fallback(path):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(cli, "_read_series_lines", no_fallback)
+        f = tmp_path / "x.csv"
+        f.write_bytes(b"# c\r\n\r\nvalue,other\r\n# c\r\n1.5,a\r\n-0.0\r\n\r\n5e-324\r\n")
+        got = read_series_csv(f)
+        assert got.tobytes() == np.array([1.5, -0.0, 5e-324]).tobytes()
+
+
+# one line of a CSV the reader may meet; the numbers include signed zero,
+# subnormals, long digit strings and spellings that Python's float() and
+# numpy's parser may read differently
+CSV_CELLS = [
+    "0", "-0.0", "1.5", "-2", "3e-1", "5e-324", "1e308", "1e999",
+    "0.1000000000000000055511151231257827", "9007199254740993", ".5", "1.", "+.5e-3",
+    "nan", "-inf", "infinity", "Infinity", "1_0", "0x10", "1D3", "x", "value", "", "   ",
+    "\t7 ", "\u30008", "\u0661\u0662", "1\x1c", "# note", "1.5 # note", "1,2,3", "4,", ",5",
+    "a,b", "1 2",
+]
+
+
+def _read_outcome(read, path):
+    """The bytes ``read`` returns, or the InputError message it raises."""
+    try:
+        return read(path).tobytes()
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+class TestReaderProperty:
+    @given(
+        content=st.builds(
+            lambda cells, end, tail: end.join(cells).encode() + tail,
+            st.lists(st.one_of(st.sampled_from(CSV_CELLS), st.floats().map(repr)), max_size=12),
+            st.sampled_from(["\n", "\r\n", "\r"]),
+            st.sampled_from([b"", b"\n", b"\n\xe9\n", b"\xff1\n"]),
+        )
+    )
+    @example(content=b"x\n")  # header only: np.loadtxt would warn "input contained no data"
+    @example(content=b"x\n0x10\n")
+    @example(content=b"x\n1D3\n")
+    @example(content=b"1_0\n")
+    @example(content=b"1\n\n   \n2\n")
+    @example(content=b"1\r\n2\r\n")
+    @example(content=b"1\n# mid\n2\n")
+    @example(content=b"1.5 # note\n")
+    @example(content=b"1,2,3\n4\n5,6\n")
+    @example(content=b"1\nnan\n")
+    @example(content=b"1\ninf\n")
+    @example(content=b"infinity\n")
+    @example(content=b"a\nb\n1\n")
+    @example(content=b"caf\xe9\n1.0\n")
+    @example(content=b"1.0\n\xff\n")
+    @settings(max_examples=300, deadline=None)
+    def test_fast_read_matches_line_reader(self, content, csv_dir):
+        f = csv_dir / "x.csv"
+        f.write_bytes(content)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _read_outcome(read_series_csv, f)
+        assert got == _read_outcome(cli._read_series_lines, f), content
+        assert not caught and not stderr.getvalue(), content
 
 
 class TestWriteTable:
@@ -368,6 +443,13 @@ class TestOracleCommand:
         vals = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(vals == 1.0)
 
+    def test_underflowed_phi_squared(self, tmp_path):
+        # |phi|**2 underflows to 0 while |phi|**alpha does not
+        out = tmp_path / "o"
+        assert run(["oracle", "arma11", "--phi=-1e-200", "--theta", 2, "--alpha", 1,
+                    "--out-dir", out]) == 0
+        _assert_finite_outputs("oracle", out)
+
     def test_unsupported_case_exit_2(self, tmp_path, capsys):
         assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
                     "--p", 0.0, "--out-dir", tmp_path / "u"]) == 2
@@ -401,6 +483,8 @@ BAD_MODEL_PARAMETERS = [
     ["oracle", "arma11", "--phi", -0.6, "--theta", 0.1, "--alpha", "1e308"],
     ["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000],
     ["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"],
+    # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
+    ["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1],
 ]
 
 
@@ -610,3 +694,41 @@ class TestArgvProperty:
             _assert_finite_outputs(argv[0], out)
         else:
             assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# start-up: importing the CLI loads numpy and the package only, and running a
+# command imports no further scipy or numpy module
+
+STARTUP_PROBE = """
+import json, sys
+import extspec.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded on import"
+before = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    assert extspec.cli.main(argv) == 0, argv
+late = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("scipy", "numpy"))
+print(json.dumps(late))
+"""
+
+
+def test_commands_import_no_scipy_or_numpy_module(tmp_path):
+    x, out = str(tmp_path / "x.csv"), str(tmp_path / "out")
+    analyze = ["analyze", "--input", x, "--out-dir", out, "--window", "daniell:5"]
+    commands = [
+        ["simulate", "sv", "--logvol-ar", "0.5", "--logvol-sd", "0.3", "--n", "512", "--seed", "1",
+         "--out", x],
+        ["simulate", "arma11", "--phi", "0.8", "--theta", "0.1", "--n", "2048", "--seed", "1",
+         "--out", x],
+        [*analyze, "--band", "surrogate"],
+        [*analyze, "--band", "permutation", "--replicates", "19"],
+        ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3", "--out-dir", out],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
     DegenerateDataError,
     FrequencyGrid,
+    IndicatorSeries,
     ParameterError,
     StudentT,
     TailIndexSpec,
@@ -32,7 +34,7 @@ from extspec import (
     threshold_from_quantile,
 )
 from extspec.core import smoothing_window_starts
-from extspec.estimators import WeightWindow
+from extspec.estimators import WeightWindow, _lag_products
 
 
 def random_indicators(make_indicators, rng, n=None, rate=None):
@@ -107,6 +109,57 @@ class TestSampleExtremogram:
         se = ex.stderr()
         assert se[0] == 0.0
         assert se[1] == pytest.approx(math.sqrt(ex.rho[1] * (1 - ex.rho[1]) / 4), abs=1e-15)
+
+
+def double_sum(values, h):
+    """sum_t v_t v_{t+h}, term by term."""
+    return math.fsum(values[t] * values[t + h] for t in range(len(values) - h))
+
+
+@st.composite
+def event_patterns(draw):
+    """0/1 series with at least one event, and a lag bound that may reach past n - 1."""
+    n = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(["random", "one", "all"]))
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        bits[draw(st.integers(0, n - 1))] = True
+    else:
+        bits = [kind == "all"] * n
+        bits[draw(st.integers(0, n - 1))] = True
+    return bits, draw(st.integers(0, n + 3))
+
+
+class TestPairCounts:
+    @given(case=event_patterns())
+    @example(case=([True], 0))
+    @example(case=([False, True, False], 5))
+    @example(case=([True] * 9, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_double_sum(self, case):
+        bits, max_lag = case
+        counts = _lag_products(np.array(bits), max_lag)
+        assert counts.dtype == np.int64
+        ones = [int(b) for b in bits]
+        assert counts.tolist() == [double_sum(ones, h) for h in range(1, max_lag + 1)]
+
+    @given(case=event_patterns(), m=st.sampled_from([None, 0.5, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_lag_window_matches_centred_double_sum(self, case, m):
+        bits, r = case
+        r = min(r, len(bits) - 1)
+        ind = IndicatorSeries(np.array(bits))
+        scale = (m or canonical_m(ind)) / ind.n
+        c = [b - ind.p0_hat for b in bits]
+        gammas = [scale * ind.n_events] + [scale * double_sum(c, h) for h in range(1, r + 1)]
+        lams = np.array([0.3, 1.1, 2.9])
+        terms = [[gammas[0]] + [2 * math.cos(lam * h) * gammas[h] for h in range(1, r + 1)]
+                 for lam in lams]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="lag-window truncation")
+            got = lag_window_curve(ind, FrequencyGrid.from_frequencies(lams), r, m=m).values
+        for value, row in zip(got, terms):
+            assert abs(value - math.fsum(row)) <= 1e-12 * math.fsum(map(abs, row))
 
 
 class TestTransforms:

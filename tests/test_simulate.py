@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
@@ -22,6 +24,7 @@ from extspec import (
     simulate_sv,
     threshold_from_quantile,
 )
+from extspec.simulate import _first_order_filter
 
 
 class TestNoise:
@@ -100,6 +103,40 @@ class TestArma11:
     def test_default_burnin(self):
         assert default_burnin(0.8) == 1000
         assert default_burnin(0.99) == 5000
+
+
+COEF = st.floats(-1, 1, exclude_min=True, exclude_max=True).filter(lambda c: c != 0.0)
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@st.composite
+def filter_cases(draw):
+    phi = draw(COEF)
+    theta = draw(st.one_of(st.sampled_from([0.0, -phi]), VALUES))
+    z = np.array(draw(st.lists(VALUES, min_size=1, max_size=80)))
+    return phi, theta, z
+
+
+class TestFirstOrderFilter:
+    @given(case=filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_lfilter(self, case):
+        signal = pytest.importorskip("scipy.signal")
+        phi, theta, z = case
+        arma = signal.lfilter([1.0, theta], [1.0, -phi], z)
+        ar = signal.lfilter([1.0], [1.0, -phi], z)
+        assert _first_order_filter(z, theta, phi).tobytes() == arma.tobytes()
+        assert _first_order_filter(z, 0.0, phi).tobytes() == ar.tobytes()
+
+    def test_chunks_join_without_a_seam(self, monkeypatch):
+        z = sample_noise(StudentT(3), 1000, 4)
+        whole = _first_order_filter(z, 0.1, 0.8)
+        monkeypatch.setattr("extspec.simulate._CHUNK", 7)
+        assert _first_order_filter(z, 0.1, 0.8).tobytes() == whole.tobytes()
 
 
 class TestStochasticVolatility:
