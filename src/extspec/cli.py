@@ -38,7 +38,7 @@ from .core import (
 )
 from .trigsums import SingularFrequencyError
 
-_CHUNK_ROWS = 2**16  # rows formatted per write: bounds the writer's memory
+_CHUNK_CELLS = 2**12  # cells formatted per write: bounds the writer's memory
 # analyze attributes that do not determine the numbers; the rest is recorded
 _NOT_PROVENANCE = ("command", "func", "out_dir")
 
@@ -255,17 +255,97 @@ def cmd_simulate(args) -> int:
 
 
 def _write_table(path: Path, comments: list[str], columns: dict, header: bool = True) -> None:
-    """Write named 1-d columns as ``.17g`` CSV text, ``_CHUNK_ROWS`` rows at a time."""
+    """Write named 1-d columns as CSV text, each cell exactly ``format(v, ".17g")``."""
     cols = [np.asarray(c, dtype=float) for c in columns.values()]
-    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
-    with path.open("w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+    rows = max(1, _CHUNK_CELLS // len(cols))
+    seps = np.resize(np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8), rows * len(cols))
+    with path.open("wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments).encode())
         if header:
-            fh.write(",".join(columns) + "\n")
-        for start in range(0, cols[0].size, _CHUNK_ROWS):
-            chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in cols])
-            fh.write((row * len(chunk)).format(*chunk.ravel().tolist()))
+            fh.write((",".join(columns) + "\n").encode())
+        for start in range(0, cols[0].size, rows):
+            cells = np.column_stack([c[start : start + rows] for c in cols]).ravel()
+            fh.write(_format_cells(cells, seps))
+
+
+# .17g writes |v| in [1e-4, 1e17) as fixed-point text with 17 significant digits
+# d = round(|v| * 10**k), k = 16 - floor(log10|v|).  With 10**k = 5**k * 2**k,
+# |v| * 5**k is exact as hi + lo (Dekker's product; 5**20 < 2**53) and ldexp
+# scales both by 2**k exactly.  The text is gathered from a source row of bytes
+# through one layout per decimal exponent and sign; other cells use format().
+_POW5 = np.array([5**k for k in range(21)], dtype=float)
+_POW5_HI = _POW5 * 134217729.0 - (_POW5 * 134217729.0 - _POW5)  # Veltkamp split
+_POW5_LO = _POW5 - _POW5_HI
+_WORDS = (  # the ASCII bytes of 0000..9999, one uint32 each
+    np.stack([np.arange(10_000) // 10**j % 10 + 48 for j in (3, 2, 1, 0)], 1)
+    .astype(np.uint8)
+    .view(np.uint32)[:, 0]
+)
+_SOURCE = "-0." + " " * 17 + "naif"  # bytes 3-19 hold the 17 digits
+_COLS = np.arange(25, dtype=np.uint8)  # widest cell: 24 bytes and its separator
+
+
+def _layouts():
+    """Per text layout: the source byte of each text byte, its length, and two zero counts."""
+    texts = []  # (text, trailing zeros it may strip, trailing zeros that drop its point)
+    for e in range(-4, 17):
+        if e < 0:  # 0.000ddd: all 17 digits follow the point
+            body, strip, point = "0." + "0" * (-e - 1) + "D" * 17, 16, 17
+        else:  # ddd.ddd: e + 1 digits before the point
+            body, strip, point = "D" * (e + 1) + "." + "D" * (16 - e), 16 - e, 16 - e
+        texts += [(body, strip, point), ("-" + body, strip, point)]
+    texts += [(t, 0, 17) for t in ("nan", "0", "-0", "inf", "-inf")]  # layouts 42-46
+    index = np.zeros((len(texts), 25), dtype=np.intp)
+    for g, (t, _, _) in enumerate(texts):
+        digits = iter(range(3, 20))
+        index[g, : len(t)] = [next(digits) if ch == "D" else _SOURCE.index(ch) for ch in t]
+    return index, *(np.array(c, dtype=np.uint8) for c in zip(*((len(t), s, p) for t, s, p in texts)))
+
+
+_INDEX, _LEN, _STRIP, _POINT = _layouts()
+
+
+def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The ``.17g`` text of each cell of ``v`` followed by its separator, as bytes."""
+    m = v.size
+    a, neg = np.abs(v), np.signbit(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    special = np.where(np.isnan(v), 42, np.where(a == 0, 43, 45) + neg)
+    fallback = (a > 0) & (a < np.inf)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    k = 16 - e
+    split = a * 134217729.0
+    ah = split - (split - a)
+    al = a - ah
+    hi = a * _POW5[k]
+    lo = ((ah * _POW5_HI[k] - hi) + ah * _POW5_LO[k] + al * _POW5_HI[k]) + al * _POW5_LO[k]
+    # hi * 2**k is an even integer, so rounding lo half-even rounds the sum half-even
+    d = np.ldexp(hi, k).astype(np.int64) + np.rint(np.ldexp(lo, k)).astype(np.int64)
+    # log10 can land a decade off near powers of ten: d then has 16 or 18 digits
+    good = fast & (d >= 10**16) & (d < 10**17)
+    fallback &= ~good
+    g = np.where(good, 2 * (e + 4) + neg, special)
+    src = np.empty((m, 24), dtype=np.uint8)
+    src[:] = np.frombuffer(_SOURCE.encode(), np.uint8)
+    lead, rest = np.divmod(d, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    src[:, 3] = lead + 48
+    words = src.view(np.uint32)
+    words[:, 1], words[:, 2] = _WORDS[upper // 10**4], _WORDS[upper % 10**4]
+    words[:, 3], words[:, 4] = _WORDS[lower // 10**4], _WORDS[lower % 10**4]
+    index = _INDEX.take(g, axis=0)
+    index += np.arange(0, 24 * m, 24)[:, None]
+    text = src.reshape(-1).take(index)
+    zeros = np.argmax(src[:, 19:2:-1] != 48, axis=1).astype(np.uint8)  # trailing zero digits
+    n = _LEN[g] - np.minimum(zeros, _STRIP[g]) - (zeros >= _POINT[g])
+    rare = np.flatnonzero(fallback)  # .17g text is at most 24 bytes and has no blank
+    cells = ("{:<24.17g}" * rare.size).format(*v[rare].tolist()).encode()
+    cells = np.frombuffer(cells, np.uint8).reshape(-1, 24)
+    text[rare, :24] = cells
+    n[rare] = (cells != 32).sum(axis=1)
+    text.reshape(-1)[np.arange(0, 25 * m, 25) + n] = seps[:m]
+    return text[_COLS <= n[:, None]]
 
 
 def _write_records_json(path: Path, meta: dict, columns: dict) -> None:

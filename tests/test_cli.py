@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,19 +177,54 @@ class TestReaderProperty:
         assert not caught and not stderr.getvalue(), content
 
 
+def template_table(columns) -> bytes:
+    """The reference bytes: one ``{:.17g}`` row template through ``str.format``."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    return (row * cols[0].size).format(*np.column_stack(cols).ravel().tolist()).encode()
+
+
+# neighbours of the powers of ten where log10 can land a decade off
+POWER_NEIGHBOURS = [
+    np.nextafter(float(f"1e{j}"), toward) for j in range(-5, 18) for toward in (0.0, math.inf)
+]
+
+
 class TestWriteTable:
+    @given(
+        table=st.integers(1, 5).flatmap(
+            lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), min_size=1)
+        ),
+        chunk=st.integers(1, 16),
+    )
+    @example(table=[[1 + 2**-17]], chunk=16)  # half-even tie: 1.0000076293945312
+    @example(table=[[9.9999999999999991e-05], [0.0001], [1e-4]], chunk=16)
+    @example(table=[[v] for v in POWER_NEIGHBOURS], chunk=16)
+    @example(table=[[1e17], [99999999999999999.0]], chunk=16)
+    @example(table=[[50.0, 0.1, 0.0, -0.0, 5e-324], [1e308, -1e308, -5e-324, 1e-4, -50.0]], chunk=3)
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_format_17g(self, table, chunk, tmp_path_factory):
+        columns = {f"c{j}": [row[j] for row in table] for j in range(len(table[0]))}
+        out = tmp_path_factory.mktemp("table") / "t.csv"
+        with mock.patch.object(cli, "_CHUNK_CELLS", chunk):
+            _write_table(out, ["a comment"], columns)
+        expected = b"# a comment\n" + ",".join(columns).encode() + b"\n"
+        assert out.read_bytes() == expected + template_table(columns.values())
+
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
-        # the writer formats one chunk of rows at a time, so its peak is set
-        # by the chunk size: 2^13 rows peak where 2^11 rows do (chunks of 2^10)
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2**10)
+        # the writer formats one chunk of cells at a time, so its peak is set
+        # by the chunk size: 2^13 rows peak where 2^11 rows do (chunks of 2^10
+        # cells); every chunk holds cells that take the format() fallback
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", 2**10)
         rng = np.random.default_rng(0)
         out = tmp_path / "t.csv"
         peaks = {}
         for rows in (2**11, 2**13):
             columns = {name: rng.standard_normal(rows) for name in "abcde"}
+            columns["f"] = np.resize([math.nan, 0.0, 1e-300, 1e300], rows)
             tracemalloc.start()
             try:
-                _write_table(out, ["five columns"], columns)
+                _write_table(out, ["six columns"], columns)
                 peaks[rows] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
