@@ -36,6 +36,9 @@ CASES = {
                                       "--replicates", "19", "--band-seed", "3"],
     "oracle": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
                "--grid", "list:0.5,1.0,2.0", "--max-lag", "3", "--out-dir", "out"],
+    # the default 512-point grid: 512 x 42 series cells, one block of the cosine series
+    "oracle_default": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
+                       "--out-dir", "out"],
     # real seeded noise: a burn-in or a max-MA window draws more than SPECIAL holds;
     # the comment lines pin the default burn-in, n_coeffs and trunc_eps
     "simulate_arma11": ["simulate", "arma11", "--phi", "0.97", "--theta", "-0.5",
