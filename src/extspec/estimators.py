@@ -34,6 +34,8 @@ from .core import (
 
 SPECTRAL_KINDS = ("raw_periodogram", "standardized_periodogram", "lag_window", "smoothed")
 
+_SERIES_BLOCK_CELLS = 2**20  # cells in one row block of cosine_series' frequency x lag matrix
+
 
 @dataclass(frozen=True)
 class Extremogram:
@@ -283,8 +285,6 @@ def lag_window_curve(
         raise ParameterError("frequency grid is empty")
     m = _resolve_m(ind, m)
     _warn_if_truncation_outruns(ind, r, m)
-    gammas = np.empty(r + 1)
-    gammas[0] = m / ind.n * ind.n_events
     # sum_t (b_t - p0)(b_{t+h} - p0) = C(h) - p0 (A(h) + B(h)) + (n - h) p0^2, where
     # A(h) and B(h) count the events in the first and in the last n - h positions
     h = np.arange(1, r + 1)
@@ -292,11 +292,20 @@ def lag_window_curve(
     first = ind.n_events - np.cumsum(bits[::-1][:r])
     last = ind.n_events - np.cumsum(bits[:r])
     cov = _lag_products(bits, r) - p0 * (first + last) + (ind.n - h) * p0**2
-    gammas[1:] = (m / ind.n) * cov
-    values = gammas[0] + 2.0 * (np.cos(np.outer(grid.freqs, h)) @ gammas[1:])
+    values = cosine_series(grid.freqs, m / ind.n * ind.n_events, (m / ind.n) * cov)
     if standardized:
         values = values / tail_event_rate(ind, m)
     return SpectralEstimate(grid=grid, values=values, kind="lag_window")
+
+
+def cosine_series(freqs, c0: float, coefs) -> np.ndarray:
+    """c0 + 2 * sum_{h=1..H} coefs[h-1] cos(h*lam) at each lam, in row blocks of bounded size."""
+    h = np.arange(1, len(coefs) + 1)
+    rows = max(1, _SERIES_BLOCK_CELLS // max(1, h.size))
+    values = np.empty(freqs.size)
+    for lo in range(0, freqs.size, rows):
+        values[lo : lo + rows] = c0 + 2.0 * (np.cos(np.outer(freqs[lo : lo + rows], h)) @ coefs)
+    return values
 
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DegenerateDataError, ParameterError, require_bytes, require_finite
-from .estimators import Extremogram
+from .estimators import Extremogram, cosine_series
 from .trigsums import cos_arith_sum, geometric_trig_sum
 
 
@@ -136,15 +136,19 @@ def extremogram_linear(
         raise ParameterError("need max_lag >= 0")
     require_bytes(max_lag + 1, f"{max_lag + 1} lags")
     alpha, p, q = tail.alpha, tail.upper_share, tail.lower_share
-    psi = filt.materialize(tail, rel_eps)
-    pos = np.maximum(psi, 0.0) ** alpha
-    neg = np.maximum(-psi, 0.0) ** alpha
+    # signed alpha-masses sign(c) |c|**alpha; the materialized tail c_last * ratio**k
+    # underflows to 0 while its masses still count, so they come from |ratio|**alpha
+    head = filt.coeffs
+    last, step = (np.sign(c) * abs(c) ** alpha for c in (head[-1], filt.tail_ratio or 0.0))
+    k = np.arange(1, filt.materialize(tail, rel_eps).size - head.size + 1)
+    signed = np.concatenate([np.sign(head) * np.abs(head) ** alpha, last * step**k])
+    pos, neg = np.maximum(signed, 0.0), np.maximum(-signed, 0.0)
     denom = p * pos.sum() + q * neg.sum()
     if denom <= 0:
         raise DegenerateDataError("filter carries no tail mass for this balance")
     pos_pad = np.concatenate([pos, np.zeros(max_lag)])
     neg_pad = np.concatenate([neg, np.zeros(max_lag)])
-    m = psi.size
+    m = signed.size
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
     for h in range(1, max_lag + 1):
@@ -168,7 +172,7 @@ class SpectralDensityOracle:
         return np.asarray(self.fn(freqs), dtype=float)
 
 
-def spectral_from_extremogram(rho, max_lag: int | None = None) -> SpectralDensityOracle:
+def spectral_from_extremogram(rho) -> SpectralDensityOracle:
     """Spectral density as the truncated cosine series of a tail dependence sequence.
 
     f(lam) = 1 + 2 * sum_{h=1..H} rho(h) cos(h*lam), the even extension
@@ -179,19 +183,9 @@ def spectral_from_extremogram(rho, max_lag: int | None = None) -> SpectralDensit
         raise ParameterError("need rho values for lags 0..H")
     if abs(values[0] - 1.0) > 1e-9:
         raise ParameterError("lag-0 tail dependence must be 1")
-    if max_lag is not None:
-        if max_lag + 1 > values.size:
-            raise ParameterError("max_lag exceeds the available lags")
-        values = values[: max_lag + 1]
-    h = np.arange(1, values.size)
-    coef = values[1:]
-
-    def fn(freqs: np.ndarray) -> np.ndarray:
-        if freqs.size == 0:
-            return np.empty(0)
-        return 1.0 + 2.0 * (np.cos(np.outer(freqs, h)) @ coef)
-
-    return SpectralDensityOracle(fn=fn, provenance=f"series_truncation({values.size - 1})")
+    return SpectralDensityOracle(
+        lambda lam: cosine_series(lam, 1.0, values[1:]), f"series_truncation({values.size - 1})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,22 @@ class TestOracleCommand:
         lam0, f0 = map(float, rows[0].split(","))
         assert f0 == pytest.approx(3.45, abs=0.05)  # low-frequency end of the curve
 
+    def test_dense_series_check_is_bounded_and_accurate(self, tmp_path):
+        # series depth 4,128 on 16,384 points: one matrix product would hold two
+        # 541 MB matrices, and the tail masses past the underflow of 0.8**j
+        # (j ~ 3,340) would be lost, leaving a residual of 3.3e-7
+        out = tmp_path / "dense"
+        tracemalloc.start()
+        try:
+            code = run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 0.03,
+                        "--grid", "linspace:0.001:3.14:16384", "--out-dir", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20
+        assert json.loads((out / "manifest.json").read_text())["max_series_residual"] <= 1e-8
+
     def test_degenerate_filter_flat_curve(self, tmp_path):
         out = tmp_path / "flat"
         assert run(["oracle", "arma11", "--phi", 0.5, "--theta", -0.5, "--alpha", 3,

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +35,9 @@ from extspec import (
     tail_event_rate,
     threshold_from_quantile,
 )
+from extspec import estimators
 from extspec.core import smoothing_window_starts
-from extspec.estimators import WeightWindow, _lag_products
+from extspec.estimators import WeightWindow, _lag_products, cosine_series
 
 
 def random_indicators(make_indicators, rng, n=None, rate=None):
@@ -390,6 +393,56 @@ class TestLagWindow:
             got = lag_window_curve(ind, grid, 50, standardized=True).values
         oracle = arma11_spectral_oracle(0.8, 0.1, TailIndexSpec(3, 0.5)).evaluate(grid.freqs)
         assert got[0] == pytest.approx(oracle[0], abs=0.25)
+
+
+def one_block_series(freqs, c0, coefs):
+    """The reference: one matrix product over the whole frequency x lag grid."""
+    h = np.arange(1, len(coefs) + 1)
+    return c0 + 2.0 * (np.cos(np.outer(freqs, h)) @ coefs)
+
+
+class TestCosineSeries:
+    def test_one_block_is_bit_equal_to_one_matrix_product(self):
+        rng = np.random.default_rng(11)
+        for k, h in [(1, 1), (512, 42), (3, 0), (2**20, 1), (1, 2**20)]:
+            freqs = rng.uniform(0.0, math.pi, k)
+            coefs = rng.standard_normal(h)
+            got = cosine_series(freqs, 0.7, coefs)
+            assert np.array_equal(got, one_block_series(freqs, 0.7, coefs)), (k, h)
+
+    @given(
+        k=st.integers(0, 300),
+        h=st.integers(0, 60),
+        budget=st.integers(1, 2000),
+        c0=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_agree_with_one_product(self, k, h, budget, c0, seed):
+        rng = np.random.default_rng(seed)
+        freqs = rng.uniform(0.0, math.pi, k)
+        coefs = rng.standard_normal(h) * 10.0 ** rng.uniform(-3, 3, h)
+        with mock.patch.object(estimators, "_SERIES_BLOCK_CELLS", budget):
+            got = cosine_series(freqs, c0, coefs)
+        scale = abs(c0) + 2.0 * np.abs(coefs).sum()
+        assert got.shape == (k,)
+        assert np.all(np.abs(got - one_block_series(freqs, c0, coefs)) <= 1e-12 * scale)
+
+    def test_peak_memory_does_not_grow_with_grid(self, monkeypatch):
+        # blocks of 2^12 cells: past the K-length output, 2^14 frequencies peak
+        # where 2^12 do; one product would hold two K x 64 matrices
+        monkeypatch.setattr(estimators, "_SERIES_BLOCK_CELLS", 2**12)
+        coefs = np.random.default_rng(5).standard_normal(64)
+        peaks = {}
+        for k in (2**12, 2**14):
+            freqs = np.linspace(0.01, 3.13, k)
+            tracemalloc.start()
+            try:
+                cosine_series(freqs, 1.0, coefs)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2**14] - peaks[2**12] <= 1.05 * 8 * (2**14 - 2**12)
 
 
 class TestWindows:

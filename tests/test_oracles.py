@@ -66,6 +66,17 @@ class TestLinearExtremogram:
         ex = extremogram_linear(arma11_filter(0.8, 0.1), T3, 1)
         assert ex.rho[1] == pytest.approx(0.5990139687756779, abs=1e-12)
 
+    @pytest.mark.parametrize("phi, theta", [(0.8, 0.1), (0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
+    def test_tail_masses_outlive_coefficient_underflow(self, phi, theta):
+        # at alpha = 0.02 the series reaches lags where phi**j underflows to 0
+        # (j ~ 3,340 for phi = 0.8, 1,456 for -0.6) but |psi_j|**alpha is ~3e-7
+        tail = TailIndexSpec(alpha=0.02, upper_share=0.5)
+        depth = series_lag_for_accuracy(phi, tail.alpha, 1e-12)
+        assert arma11_filter(phi, theta).materialize(tail)[-1] == 0.0
+        brute = extremogram_linear(arma11_filter(phi, theta), tail, depth)
+        closed = arma11_extremogram_curve(phi, theta, tail, depth)
+        assert np.max(np.abs(brute.rho - closed.rho)) <= 1e-12
+
     def test_zero_mass_rejected(self):
         filt = LinearFilter(coeffs=np.array([-1.0, -0.5]))
         tail = TailIndexSpec(alpha=2, upper_share=1.0)  # only upper mass, all-negative filter
