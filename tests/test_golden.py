@@ -36,6 +36,12 @@ CASES = {
                                       "--replicates", "19", "--band-seed", "3"],
     "oracle": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
                "--grid", "list:0.5,1.0,2.0", "--max-lag", "3", "--out-dir", "out"],
+    # the other three sign cases of (phi, phi+theta); negative phi steps by two lags,
+    # and neg_neg starts on a plateau of step 2 where the odd lags vanish
+    **{f"oracle_{name}": ["oracle", "arma11", "--phi", phi, "--theta", theta, "--alpha", "3",
+                          "--grid", "list:0.5,1.0,2.0", "--max-lag", "3", "--out-dir", "out"]
+       for name, phi, theta in (("pos_neg", "0.8", "-1.2"), ("neg_pos", "-0.6", "0.9"),
+                                ("neg_neg", "-0.6", "0.1"))},
     # the default 512-point grid: 512 x 42 series cells, one block of the cosine series
     "oracle_default": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
                        "--out-dir", "out"],
