@@ -79,15 +79,20 @@ class LinearFilter:
         geometric tail the ignored mass is bounded by a geometric series,
         which fixes how far the expansion must go.
         """
+        extra = self._tail_terms(tail, rel_eps)
+        if extra == 0:
+            return self.coeffs.copy()
+        ext = self.coeffs[-1] * self.tail_ratio ** np.arange(1, extra + 1)
+        return np.concatenate([self.coeffs, ext])
+
+    def _tail_terms(self, tail: TailIndexSpec, rel_eps: float = 1e-12) -> int:
+        """How many geometric-tail coefficients ``materialize`` appends."""
         if not rel_eps > 0:
             raise ParameterError("relative tolerance must be positive")
-        base = self.coeffs.copy()
-        if self.tail_ratio is None or base[-1] == 0.0:
-            return base
         ratio = self.tail_ratio
-        if ratio == 0.0:
-            return base
-        total = float(np.sum(np.abs(base) ** tail.alpha))
+        if ratio is None or self.coeffs[-1] == 0.0 or ratio == 0.0:
+            return 0
+        total = float(np.sum(np.abs(self.coeffs) ** tail.alpha))
         if total <= 0:
             raise DegenerateDataError("filter has zero tail mass")
         rr = abs(ratio) ** tail.alpha
@@ -96,13 +101,12 @@ class LinearFilter:
                 f"|ratio|**alpha rounds to 1 for ratio={ratio!r}, alpha={tail.alpha!r}"
             )
         # smallest L with |c_last|^alpha * rr^... geometric bound below rel_eps*total
-        head = abs(base[-1]) ** tail.alpha * rr / (1.0 - rr)
+        head = abs(self.coeffs[-1]) ** tail.alpha * rr / (1.0 - rr)
         if head <= rel_eps * total:
-            return base
+            return 0
         extra = math.ceil(math.log(rel_eps * total / head) / math.log(rr)) + 2
         require_bytes(extra, f"{extra} filter coefficients")
-        ext = base[-1] * ratio ** np.arange(1, extra + 1)
-        return np.concatenate([base, ext])
+        return extra
 
 
 def arma11_filter(phi: float, theta: float, jmax: int = 64) -> LinearFilter:
@@ -121,9 +125,7 @@ def arma11_filter(phi: float, theta: float, jmax: int = 64) -> LinearFilter:
     return LinearFilter(coeffs=coeffs, tail_ratio=phi)
 
 
-def extremogram_linear(
-    filt: LinearFilter, tail: TailIndexSpec, max_lag: int, rel_eps: float = 1e-12
-) -> Extremogram:
+def extremogram_linear(filt: LinearFilter, tail: TailIndexSpec, max_lag: int) -> Extremogram:
     """Serial tail dependence of a linear filter for the upper tail set (1, inf).
 
     rho(h) is the ratio of the tail-balanced alpha-mass of coefficient
@@ -140,7 +142,7 @@ def extremogram_linear(
     # underflows to 0 while its masses still count, so they come from |ratio|**alpha
     head = filt.coeffs
     last, step = (np.sign(c) * abs(c) ** alpha for c in (head[-1], filt.tail_ratio or 0.0))
-    k = np.arange(1, filt.materialize(tail, rel_eps).size - head.size + 1)
+    k = np.arange(1, filt._tail_terms(tail) + 1)
     signed = np.concatenate([np.sign(head) * np.abs(head) ** alpha, last * step**k])
     pos, neg = np.maximum(signed, 0.0), np.maximum(-signed, 0.0)
     denom = p * pos.sum() + q * neg.sum()

@@ -35,11 +35,7 @@ class ParetoBalanced:
     upper_share: float = 0.5
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError("tail index alpha must be positive")
-        require_finite(self.alpha, "tail index alpha must be finite")
-        if not 0.0 <= self.upper_share <= 1.0:
-            raise ParameterError("upper tail share must lie in [0, 1]")
+        self.tail  # TailIndexSpec validates alpha and upper_share
 
     @property
     def tail(self) -> TailIndexSpec:

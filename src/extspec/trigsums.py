@@ -38,32 +38,38 @@ def _checked_sin(x, what: str):
     return s
 
 
+def _trig(flavor: str):
+    """np.cos or np.sin for a flavor name; any other name is a ParameterError."""
+    if flavor not in ("cos", "sin"):
+        raise ParameterError(f"unknown flavor {flavor!r}")
+    return np.cos if flavor == "cos" else np.sin
+
+
+def _arith_sum(n: int, x, step, trig):
+    """Sum of trig(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
+    if n < 0:
+        raise ParameterError("number of terms must be nonnegative")
+    if n == 0:
+        return 0.0
+    s = _checked_sin(step / 2.0, "step/2")
+    return trig(x + (n - 1) * step / 2.0) * np.sin(n * step / 2.0) / s
+
+
 def cos_arith_sum(n: int, x, step):
     """Sum of cos(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
-    if n < 0:
-        raise ParameterError("number of terms must be nonnegative")
-    if n == 0:
-        return 0.0
-    s = _checked_sin(step / 2.0, "step/2")
-    return np.cos(x + (n - 1) * step / 2.0) * np.sin(n * step / 2.0) / s
+    return _arith_sum(n, x, step, np.cos)
 
 
-def sin_arith_sum(n: int, x: float, step: float) -> float:
-    """Sum of sin(x + k*step) for k = 0, ..., n-1."""
-    if n < 0:
-        raise ParameterError("number of terms must be nonnegative")
-    if n == 0:
-        return 0.0
-    s = _checked_sin(step / 2.0, "step/2")
-    return math.sin(x + (n - 1) * step / 2.0) * math.sin(n * step / 2.0) / s
+def sin_arith_sum(n: int, x, step):
+    """Sum of sin(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
+    return _arith_sum(n, x, step, np.sin)
 
 
 def k_weighted_trig_sum(n: int, lam: float, flavor: str = "cos") -> float:
     """Sum of k*cos(k*lam) (or k*sin(k*lam)) for k = 1, ..., n-1."""
+    trig = _trig(flavor)
     if n < 1:
         raise ParameterError("need n >= 1")
-    if flavor not in ("cos", "sin"):
-        raise ParameterError(f"unknown flavor {flavor!r}")
     if n == 1:
         return 0.0
     _checked_sin(lam / 2.0, "lam/2")
@@ -72,7 +78,7 @@ def k_weighted_trig_sum(n: int, lam: float, flavor: str = "cos") -> float:
     # Extended precision keeps the error near 1e-9 up to n ~ 1e5.
     lam_e = np.longdouble(lam)
     s = np.sin(lam_e / 2)
-    if flavor == "cos":
+    if trig is np.cos:
         val = n * np.sin((2 * n - 1) * lam_e / 2) / (2 * s) - (
             1 - np.cos(n * lam_e)
         ) / (4 * s * s)
@@ -91,41 +97,29 @@ def geometric_trig_sum(n: int | None, p: float, lam, flavor: str = "cos"):
     ``n=None`` evaluates the infinite series, which requires |p| < 1.
     ``lam`` may be an array.
     """
+    trig = _trig(flavor)
     if n is None:
         if abs(p) >= 1.0:
             raise ParameterError("infinite geometric trig sum requires |p| < 1")
-    else:
-        if n < 0:
-            raise ParameterError("number of terms must be nonnegative")
-        if n == 0:
-            return 0.0
+    elif n < 0:
+        raise ParameterError("number of terms must be nonnegative")
+    elif n == 0:
+        return 0.0
     denom = 1.0 - 2.0 * p * np.cos(lam) + p * p
     if np.any(denom < 1e-14):
         raise SingularFrequencyError(
             f"geometric denominator 1 - 2p cos(lam) + p^2 = {np.min(denom):.3e} is singular"
         )
-    if flavor == "cos":
-        if n is None:
-            num = 1.0 - p * np.cos(lam)
-        else:
-            num = (
-                1.0
-                - p * np.cos(lam)
-                - p**n * np.cos(n * lam)
-                + p ** (n + 1) * np.cos((n - 1) * lam)
-            )
-    elif flavor == "sin":
-        if n is None:
-            num = p * np.sin(lam)
-        else:
-            num = (
-                p * np.sin(lam)
-                - p**n * np.sin(n * lam)
-                + p ** (n + 1) * np.sin((n - 1) * lam)
-            )
-    else:
-        raise ParameterError(f"unknown flavor {flavor!r}")
+    # sum over k >= 0 of p^k e^(ik lam) = (1 - p e^(-i lam)) / denom
+    num = 1.0 - p * np.cos(lam) if trig is np.cos else p * np.sin(lam)
+    if n is not None:
+        # less the terms k >= n: p^n e^(in lam) (1 - p e^(-i lam)) / denom
+        num = num - p**n * trig(n * lam) + p ** (n + 1) * trig((n - 1) * lam)
     return num / denom
+
+
+# product-to-sum signs of the (lam+omega, lam-omega) sums of each mixed kind
+_MIXED_KINDS = {"cs_cross": (np.sin, 1.0, -1.0), "cc": (np.cos, 1.0, 1.0), "ss": (np.cos, -1.0, 1.0)}
 
 
 def cross_lag_sum(n: int, h: int, lam: float, omega: float, kind: str) -> float:
@@ -146,37 +140,17 @@ def cross_lag_sum(n: int, h: int, lam: float, omega: float, kind: str) -> float:
         raise ParameterError("need 1 <= h <= n")
     if kind not in CROSS_LAG_KINDS:
         raise ParameterError(f"unknown kind {kind!r}")
-    if h == n:
-        return 0.0
-
-    if kind == "cs_same":
-        s = _checked_sin(lam, "lam")
-        return math.sin(lam * n) * math.sin(lam * (n - h + 1)) / s - math.sin(lam * h)
-
-    sp = _checked_sin((lam + omega) / 2.0, "(lam+omega)/2")
-    sm = _checked_sin((lam - omega) / 2.0, "(lam-omega)/2")
-    rp = math.sin((n - h + 1) * (lam + omega) / 2.0) / sp
-    rm = math.sin((n - h + 1) * (lam - omega) / 2.0) / sm
-    ap = (n - h) * (lam + omega) / 2.0
-    am = (n - h) * (lam - omega) / 2.0
-
-    if kind == "cs_cross":
-        return (
-            -math.sin(omega * h)
-            + 0.5 * rp * (math.sin(omega * h + ap) + math.sin(lam * h + ap))
-            - 0.5 * rm * (math.sin(-omega * h + am) + math.sin(lam * h + am))
-        )
-    if kind == "cc":
-        return (
-            -math.cos(omega * h)
-            - math.cos(lam * h)
-            + 0.5 * rp * (math.cos(omega * h + ap) + math.cos(lam * h + ap))
-            + 0.5 * rm * (math.cos(-omega * h + am) + math.cos(lam * h + am))
-        )
-    # kind == "ss"
-    return 0.5 * rm * (
-        math.cos(-omega * h + am) + math.cos(lam * h + am)
-    ) - 0.5 * rp * (math.cos(omega * h + ap) + math.cos(lam * h + ap))
+    m = n - h
+    if kind == "cs_same":  # each term is sin(lam*(2s+h))
+        return _arith_sum(m, lam * (h + 2), 2 * lam, np.sin)
+    # each product is half a sum and difference at lam+omega and lam-omega,
+    # shifted by omega*h in one product and by lam*h in the other
+    trig, sign_p, sign_m = _MIXED_KINDS[kind]
+    total = 0.0
+    for freq, sign, shift in ((lam + omega, sign_p, omega * h), (lam - omega, sign_m, -omega * h)):
+        for x in (freq + shift, freq + lam * h):
+            total += sign * _arith_sum(m, x, freq, trig)
+    return 0.5 * total
 
 
 def tail_weighted_trig_sum(n: int, r: int, lam: float, x: float, flavor: str = "cos") -> float:
@@ -186,23 +160,14 @@ def tail_weighted_trig_sum(n: int, r: int, lam: float, x: float, flavor: str = "
     whole evaluation stays O(1).  The result is O(n / sin^2(lam/2))
     uniformly in r and x.
     """
+    trig = _trig(flavor)
     if not 0 <= r <= n - 1:
         raise ParameterError("need 0 <= r <= n-1")
-    if flavor not in ("cos", "sin"):
-        raise ParameterError(f"unknown flavor {flavor!r}")
     if r == n - 1:
         return 0.0
-    count = n - 1 - r
-    # plain part: sum over h = r+1 .. n-1 of cos/sin(lam*h + x)
-    if flavor == "cos":
-        plain = cos_arith_sum(count, x + (r + 1) * lam, lam)
-    else:
-        plain = sin_arith_sum(count, x + (r + 1) * lam, lam)
-    # h-weighted part, via prefix sums of k cos(k lam) and k sin(k lam)
+    plain = _arith_sum(n - 1 - r, x + (r + 1) * lam, lam, trig)
+    # h-weighted part, via prefix sums of k cos(k lam) and k sin(k lam) and
+    # trig(lam*h + x) = trig(x) cos(lam*h) + trig(x + pi/2) sin(lam*h)
     kc = k_weighted_trig_sum(n, lam, "cos") - k_weighted_trig_sum(r + 1, lam, "cos")
     ks = k_weighted_trig_sum(n, lam, "sin") - k_weighted_trig_sum(r + 1, lam, "sin")
-    if flavor == "cos":
-        weighted = math.cos(x) * kc - math.sin(x) * ks
-    else:
-        weighted = math.sin(x) * kc + math.cos(x) * ks
-    return n * plain - weighted
+    return n * plain - (trig(x) * kc + trig(x + math.pi / 2) * ks)

@@ -46,9 +46,10 @@ class TestArithmeticSums:
                 float(np.sin(x + k * lam).sum()), abs=1e-9
             )
             lams = np.array([lam, 0.5 * lam, math.pi - lam])
-            np.testing.assert_array_equal(
-                cos_arith_sum(n, x * lams, lams), [cos_arith_sum(n, x * v, v) for v in lams]
-            )
+            for arith_sum in (cos_arith_sum, sin_arith_sum):
+                np.testing.assert_array_equal(
+                    arith_sum(n, x * lams, lams), [arith_sum(n, x * v, v) for v in lams]
+                )
 
     def test_fourier_full_period_sums_vanish(self):
         # sum over t = 1..n of cos/sin(lam*t) is zero at Fourier frequencies
@@ -91,8 +92,17 @@ class TestKWeightedSums:
             assert k_weighted_trig_sum(n, lam, "sin") == pytest.approx(ref_sin, abs=1e-9)
 
     def test_bad_flavor(self):
-        with pytest.raises(ParameterError):
-            k_weighted_trig_sum(5, 1.0, "tan")
+        # the flavor is checked before any early return or singularity check
+        calls = [
+            lambda: k_weighted_trig_sum(5, 1.0, "tan"),
+            lambda: k_weighted_trig_sum(1, 1.0, "tan"),
+            lambda: geometric_trig_sum(0, 0.5, 1.0, "tan"),
+            lambda: geometric_trig_sum(3, 1.0, 0.0, "tan"),
+            lambda: tail_weighted_trig_sum(10, 9, 1.0, 0.2, "tan"),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="unknown flavor"):
+                call()
 
 
 class TestGeometricSums:
