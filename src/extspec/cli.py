@@ -88,9 +88,7 @@ def parse_window(text: str) -> estimators.WeightWindow:
             return estimators.daniell_window(int(parts[1]))
         if parts[0] == "custom" and len(parts) == 2:
             w = [float(v) for v in parts[1].split(",") if v != ""]
-            if len(w) % 2 == 0:
-                raise ParameterError("custom window needs an odd number of weights")
-            return estimators.WeightWindow(weights=np.asarray(w), half_width=len(w) // 2)
+            return estimators.WeightWindow(np.asarray(w))
     except ValueError as exc:
         raise ParameterError(f"bad window {text!r}: {exc}") from exc
     raise ParameterError(f"bad window {text!r}: expected daniell:S or custom:w1,w2,...")
@@ -124,7 +122,7 @@ def parse_grid(text: str, n: int | None) -> FrequencyGrid:
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Read a one-column CSV: ``#`` comments and one optional header row.
+    """Read a one-column CSV: ``#`` comments, one optional header row, an optional BOM.
 
     After the leading comment and header lines, numpy parses the rest in
     one call.  Input that numpy rejects, warns about or reads as non-finite
@@ -134,7 +132,7 @@ def read_series_csv(path) -> np.ndarray:
     if not path.exists():
         raise InputError(f"input file not found: {path}")
     try:
-        with path.open(encoding="utf-8") as fh, warnings.catch_warnings():
+        with path.open(encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             if _skip_to_data(fh):
                 x = np.loadtxt(fh, delimiter=",", usecols=0, comments=None, ndmin=1)
@@ -153,14 +151,19 @@ def _first_cell(raw: str) -> str | None:
     return text.split(",")[0].strip()
 
 
-def _skip_to_data(fh) -> bool:
-    """Move ``fh`` to its first numeric line, past comments and a header; False if none."""
+def _skip_to_data(fh) -> int:
+    """Move ``fh`` to its first data line, past comments and a header.
+
+    Returns the number of that line, or 0 if there is none.
+    """
     header_allowed = True
+    lineno = 0
     while True:
+        lineno += 1
         start = fh.tell()
         raw = fh.readline()
         if not raw:
-            return False
+            return 0
         cell = _first_cell(raw)
         if cell is None:
             continue
@@ -171,29 +174,24 @@ def _skip_to_data(fh) -> bool:
                 header_allowed = False
                 continue
         fh.seek(start)
-        return True
+        return lineno
 
 
 def _read_series_lines(path: Path) -> np.ndarray:
     """The reference reader, one line at a time: every error names its line."""
     values: list[float] = []
-    header_allowed = True
     try:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+        with path.open(encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=_skip_to_data(fh)):
                 cell = _first_cell(raw)
                 if cell is None:
                     continue
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    if header_allowed and not values:
-                        header_allowed = False
-                        continue
                     raise InputError(f"{path}: line {lineno}: not a number: {cell!r}") from None
                 if not math.isfinite(values[-1]):
                     raise InputError(f"{path}: line {lineno}: non-finite value: {cell!r}")
-                header_allowed = False
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     if not values:
@@ -236,7 +234,7 @@ def cmd_simulate(args) -> int:
             desc.update(phi=args.phi, theta=args.theta, trunc_eps=args.trunc_eps, n_coeffs=len(psi))
         else:
             raise ParameterError("maxma needs --psi or both --phi and --theta")
-        spec = simulate.MaxMaSpec(psi=psi, noise=noise, truncation_eps=args.trunc_eps)
+        spec = simulate.MaxMaSpec(psi=psi, noise=noise)
         x = simulate.simulate_max_ma(spec, args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -354,8 +352,9 @@ def _write_records_json(path: Path, meta: dict, columns: dict) -> None:
     records = [
         {k: None if math.isnan(v) else v for k, v in zip(columns, values)} for values in zip(*cols)
     ]
-    payload = {"config": meta, "rows": records}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    with path.open("w") as fh:
+        json.dump({"config": meta, "rows": records}, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def run_analysis(args) -> dict:
@@ -364,6 +363,8 @@ def run_analysis(args) -> dict:
         raise ParameterError("max lag must be nonnegative")
     if not 0.0 < args.level < 1.0:
         raise ParameterError("level must lie in (0, 1)")
+    if args.band == "surrogate" and args.level != 0.05:
+        raise ParameterError("--level sets the permutation band; the surrogate band is 95% only")
     tail_set = parse_tail_set(args.tail_set)
     window = parse_window(args.window)
     x = read_series_csv(args.input)

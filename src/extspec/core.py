@@ -75,9 +75,6 @@ class UpperRay:
     def contains(self, scaled: np.ndarray) -> np.ndarray:
         return np.asarray(scaled) > self.a
 
-    def describe(self) -> str:
-        return f"upper:{self.a:g}"
-
 
 @dataclass(frozen=True)
 class LowerRay:
@@ -91,9 +88,6 @@ class LowerRay:
 
     def contains(self, scaled: np.ndarray) -> np.ndarray:
         return np.asarray(scaled) < -self.a
-
-    def describe(self) -> str:
-        return f"lower:{self.a:g}"
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,6 @@ class Interval:
         x = np.asarray(scaled)
         return (x > self.a) & (x <= self.b)
 
-    def describe(self) -> str:
-        return f"interval:{self.a:g}:{self.b:g}"
-
 
 @dataclass(frozen=True)
 class PredicateSet:
@@ -126,13 +117,9 @@ class PredicateSet:
     """
 
     test: Callable[[np.ndarray], np.ndarray]
-    label: str = "predicate"
 
     def contains(self, scaled: np.ndarray) -> np.ndarray:
         return np.asarray(self.test(np.asarray(scaled)), dtype=bool)
-
-    def describe(self) -> str:
-        return self.label
 
 
 TailSet = Union[UpperRay, LowerRay, Interval, PredicateSet]
@@ -226,12 +213,11 @@ def exceedance_indicators(series, tail_set: TailSet, threshold: Threshold) -> In
 class FrequencyGrid:
     """Strictly increasing frequencies inside the open interval (0, pi).
 
-    When ``fourier`` is set, every frequency equals 2*pi*j/n_ref for the
-    integer j stored in ``indices``.
+    A Fourier grid carries ``n_ref`` and ``indices``: every frequency
+    equals 2*pi*j/n_ref for the integer j stored in ``indices``.
     """
 
     freqs: np.ndarray
-    fourier: bool = False
     n_ref: int | None = None
     indices: np.ndarray | None = None
 
@@ -245,17 +231,21 @@ class FrequencyGrid:
                 raise ParameterError("frequencies must lie strictly inside (0, pi)")
             if np.any(np.diff(freqs) <= 0):
                 raise ParameterError("frequencies must be strictly increasing")
+        if (self.n_ref is None) != (self.indices is None):
+            raise ParameterError("fourier grids carry n_ref and integer indices")
         if self.fourier:
-            if self.n_ref is None or self.indices is None:
-                raise ParameterError("fourier grids carry n_ref and integer indices")
             object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+
+    @property
+    def fourier(self) -> bool:
+        return self.indices is not None
 
     def __len__(self) -> int:
         return self.freqs.size
 
     @classmethod
     def from_frequencies(cls, freqs) -> "FrequencyGrid":
-        return cls(freqs=np.asarray(freqs, dtype=float), fourier=False)
+        return cls(freqs=np.asarray(freqs, dtype=float))
 
 
 def fourier_grid(n: int) -> FrequencyGrid:
@@ -268,7 +258,7 @@ def fourier_grid(n: int) -> FrequencyGrid:
     jmax = (n + 1) // 2 - 1  # ceil(n/2) - 1 without a float
     require_bytes(jmax, f"{jmax} Fourier frequencies")
     j = np.arange(1, jmax + 1, dtype=np.int64)
-    return FrequencyGrid(freqs=2.0 * np.pi * j / n, fourier=True, n_ref=n, indices=j)
+    return FrequencyGrid(freqs=2.0 * np.pi * j / n, n_ref=n, indices=j)
 
 
 def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:

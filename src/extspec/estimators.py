@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy 2 loads it on first use; load it with the package
@@ -71,7 +71,6 @@ class SineCosinePair:
 
     alpha: float
     beta: float
-    freq: float
 
     def power(self) -> float:
         """Periodogram ordinate (alpha^2 + beta^2) / 2 at matching m."""
@@ -100,15 +99,15 @@ class SpectralEstimate:
 
 @dataclass(frozen=True)
 class WeightWindow:
-    """Nonnegative smoothing weights over offsets -s..s, normalized to sum 1."""
+    """Nonnegative smoothing weights over offsets -s..s (2s+1 of them), normalized to sum 1."""
 
     weights: np.ndarray
-    half_width: int
+    half_width: int = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != 2 * self.half_width + 1:
-            raise ParameterError("need 2s+1 weights for half-width s")
+        if w.ndim != 1 or w.size % 2 == 0:
+            raise ParameterError("need an odd number 2s+1 of weights for offsets -s..s")
         require_finite(w, "weights must be finite")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
@@ -117,6 +116,7 @@ class WeightWindow:
             raise ParameterError("weights must not all vanish")
         require_finite(total, "weights must have a finite sum")
         object.__setattr__(self, "weights", w / total)
+        object.__setattr__(self, "half_width", w.size // 2)
 
     @property
     def sum_sq(self) -> float:
@@ -128,7 +128,7 @@ def daniell_window(s: int) -> WeightWindow:
     if s < 0:
         raise ParameterError("half-width must be nonnegative")
     require_bytes(2 * s + 1, f"{2 * s + 1} window weights")
-    return WeightWindow(weights=np.full(2 * s + 1, 1.0 / (2 * s + 1)), half_width=s)
+    return WeightWindow(np.full(2 * s + 1, 1.0 / (2 * s + 1)))
 
 
 def canonical_m(ind: IndicatorSeries) -> float:
@@ -231,7 +231,7 @@ def sine_cosine_transforms(ind: IndicatorSeries, lam: float, m: float | None = N
     """
     (cos_sum,), (sin_sum,) = _direct_sums(ind.centered(), FrequencyGrid.from_frequencies([lam]))
     scale = math.sqrt(2.0 * _resolve_m(ind, m) / ind.n)
-    return SineCosinePair(alpha=scale * float(cos_sum), beta=scale * float(sin_sum), freq=lam)
+    return SineCosinePair(alpha=scale * float(cos_sum), beta=scale * float(sin_sum))
 
 
 def periodogram(ind: IndicatorSeries, grid: FrequencyGrid, m: float | None = None) -> SpectralEstimate:
@@ -335,7 +335,6 @@ def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> Spect
         raise ParameterError("series too short for this smoothing half-width")
     grid = FrequencyGrid(
         freqs=full.freqs[s : len(full) - s],
-        fourier=True,
         n_ref=full.n_ref,
         indices=full.indices[s : len(full) - s],
     )

@@ -38,7 +38,6 @@ class Band:
     grid: FrequencyGrid
     lower: np.ndarray
     upper: np.ndarray
-    method: str
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -70,7 +69,6 @@ def surrogate_band(curve: SpectralEstimate, window: WeightWindow) -> Band:
         grid=curve.grid,
         lower=curve.values * (1.0 - half),
         upper=curve.values * (1.0 + half),
-        method="surrogate",
     )
 
 
@@ -112,7 +110,8 @@ def permutation_band(
     replicates.
 
     Replicate b draws its permutation from the b-th child of
-    ``SeedSequence(seed)``, so the result depends only on ``seed``.
+    ``SeedSequence(seed)``, so the result depends only on ``seed``; each
+    child is made when its replicate runs, not all B up front.
     Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid), at
     most ``core.MAX_BYTES``), sorted in place, plus O(n) for one replicate
     at a time.
@@ -132,16 +131,12 @@ def permutation_band(
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     centered = ind.centered()
     reps = np.empty((replicates, len(grid)))
-    for row, child in zip(reps, np.random.SeedSequence(seed).spawn(replicates)):
+    for b, row in enumerate(reps):
+        child = np.random.SeedSequence(seed, spawn_key=(b,))
         perm = np.random.default_rng(child).permutation(centered)
         row[:] = smoothed_window_sums(perm, ind.n_events, window, starts)
     reps.sort(axis=0)
-    return Band(
-        grid=grid,
-        lower=reps[lo_k - 1],
-        upper=reps[hi_k - 1],
-        method=f"permutation({replicates})",
-    )
+    return Band(grid=grid, lower=reps[lo_k - 1], upper=reps[hi_k - 1])
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,6 @@ def thin_grid(grid: FrequencyGrid, max_count: int = 500) -> FrequencyGrid:
     pick = np.unique(np.linspace(0, total - 1, max_count).round().astype(int))
     return FrequencyGrid(
         freqs=grid.freqs[pick],
-        fourier=grid.fourier,
         n_ref=grid.n_ref,
         indices=None if grid.indices is None else grid.indices[pick],
     )

@@ -89,6 +89,7 @@ class LinearFilter:
         """How many geometric-tail coefficients ``materialize`` appends."""
         if not rel_eps > 0:
             raise ParameterError("relative tolerance must be positive")
+        require_finite(rel_eps, "relative tolerance must be finite")
         ratio = self.tail_ratio
         if ratio is None or self.coeffs[-1] == 0.0 or ratio == 0.0:
             return 0
@@ -109,18 +110,16 @@ class LinearFilter:
         return extra
 
 
-def arma11_filter(phi: float, theta: float, jmax: int = 64) -> LinearFilter:
+def arma11_filter(phi: float, theta: float) -> LinearFilter:
     """Causal ARMA(1,1) filter: psi_0 = 1, psi_j = phi**(j-1) * (phi+theta).
 
-    Stores jmax+1 explicit coefficients; the analytic geometric tail
-    ratio phi lets consumers extend the list to any accuracy.
+    Stores psi_0..psi_64 explicitly; the analytic geometric tail ratio
+    phi lets consumers extend the list to any accuracy.
     """
     if not 0.0 < abs(phi) < 1.0:
         raise ParameterError("need 0 < |phi| < 1 for a stationary causal filter")
     require_finite(theta, "need a finite theta")
-    if jmax < 1:
-        raise ParameterError("need jmax >= 1")
-    j = np.arange(1, jmax + 1)
+    j = np.arange(1, 65)
     coeffs = np.concatenate([[1.0], (phi + theta) * phi ** (j - 1.0)])
     return LinearFilter(coeffs=coeffs, tail_ratio=phi)
 

@@ -208,14 +208,11 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
 class MaxMaSpec:
     """Max-moving average: X_t is the max of psi_i * Z_{t-i} over i.
 
-    ``psi`` is the finite coefficient list actually used; when it comes
-    from truncating an infinite filter, ``truncation_eps`` records the
-    relative tail-mass criterion the truncation satisfied.
+    ``psi`` is the finite coefficient list actually used.
     """
 
     psi: tuple
     noise: NoiseSpec
-    truncation_eps: float = 1e-6
 
     def __post_init__(self):
         psi = tuple(float(c) for c in np.atleast_1d(np.asarray(self.psi, dtype=float)))
@@ -224,9 +221,6 @@ class MaxMaSpec:
         require_finite(psi, "max-moving-average coefficients must be finite")
         if all(c == 0.0 for c in psi):
             raise ParameterError("all max-moving-average coefficients are zero: degenerate process")
-        if not self.truncation_eps > 0:
-            raise ParameterError("truncation tolerance must be positive")
-        require_finite(self.truncation_eps, "truncation tolerance must be finite")
         object.__setattr__(self, "psi", psi)
 
 

@@ -25,7 +25,16 @@ from extspec.cli import (
     parse_window,
     read_series_csv,
 )
-from extspec import InputError, ParameterError, ParetoBalanced, StudentT, cli
+from extspec import (
+    InputError,
+    Interval,
+    LowerRay,
+    ParameterError,
+    ParetoBalanced,
+    StudentT,
+    UpperRay,
+    cli,
+)
 
 
 def run(argv):
@@ -58,9 +67,9 @@ class TestParsers:
             parse_noise("t:abc")
 
     def test_tail_sets(self):
-        assert parse_tail_set("upper:1").describe() == "upper:1"
-        assert parse_tail_set("lower:2.5").describe() == "lower:2.5"
-        assert parse_tail_set("interval:1:2").describe() == "interval:1:2"
+        assert parse_tail_set("upper:1") == UpperRay(1.0)
+        assert parse_tail_set("lower:2.5") == LowerRay(2.5)
+        assert parse_tail_set("interval:1:2") == Interval(1.0, 2.0)
         with pytest.raises(ParameterError):
             parse_tail_set("ball:1")
 
@@ -96,9 +105,22 @@ class TestReadSeries:
     def test_malformed_row_names_line(self, tmp_path):
         f = tmp_path / "x.csv"
         for bad in ("oops", "nan", "inf", "-inf"):
-            f.write_text(f"1\n2\n{bad}\n4\n")
-            with pytest.raises(InputError, match="line 3"):
-                read_series_csv(f)
+            # the second case puts a comment, a blank line and a header before the bad row
+            for text, line in ((f"1\n2\n{bad}\n4\n", 3), (f"# c\n\nvalue\n{bad}\n4\n", 4)):
+                f.write_text(text)
+                with pytest.raises(InputError, match=f"line {line}"):
+                    read_series_csv(f)
+
+    def test_byte_order_mark(self, tmp_path):
+        # the mark is not part of the first cell, which would otherwise read as a header
+        f = tmp_path / "x.csv"
+        f.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert read_series_csv(f).tolist() == [1.5, 2.5, 3.5]
+        f.write_bytes(b"\xef\xbb\xbf# c\nvalue\n1\n2\n")
+        assert read_series_csv(f).tolist() == [1.0, 2.0]
+        f.write_bytes(b"\xef\xbb\xbf# c\nvalue\n1\noops\n")
+        with pytest.raises(InputError, match="line 4"):
+            read_series_csv(f)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -353,6 +375,13 @@ class TestAnalyzeCommand:
         assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
                     *flag]) == 2
         assert flag[0].strip("-").replace("-", " ") in single_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_level_with_surrogate_band_exit_2_before_reading(self, tmp_path, capsys):
+        # the surrogate band is a 95% band whatever the level, so another level is refused
+        assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
+                    "--band", "surrogate", "--level", 0.3]) == 2
+        assert single_error(capsys).startswith("error: --level")
         assert not (tmp_path / "o").exists()
 
     def test_malformed_input_exit_2_names_line(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from extspec import (
     Arma11Spec,
+    FrequencyGrid,
     IndicatorSeries,
     InputError,
     Interval,
@@ -114,7 +115,7 @@ class TestTailSets:
         assert got.tolist() == [False, True, True, False]
 
     def test_predicate_set(self):
-        s = PredicateSet(lambda x: np.abs(x) > 1.0, label="abs>1")
+        s = PredicateSet(lambda x: np.abs(x) > 1.0)
         assert s.contains(np.array([-2.0, 0.5, 3.0])).tolist() == [True, False, True]
 
     def test_invalid_endpoints(self):
@@ -163,6 +164,14 @@ class TestFourierGrid:
     def test_too_small(self):
         with pytest.raises(InputError):
             fourier_grid(1)
+
+    def test_fourier_grid_carries_n_ref_and_indices_together(self):
+        g = fourier_grid(8)
+        assert g.fourier and g.n_ref == 8 and g.indices.tolist() == [1, 2, 3]
+        assert not FrequencyGrid.from_frequencies(g.freqs).fourier
+        for partial in ({"n_ref": 8}, {"indices": [1, 2, 3]}):
+            with pytest.raises(ParameterError, match="n_ref and integer indices"):
+                FrequencyGrid(g.freqs, **partial)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 500))

@@ -458,14 +458,14 @@ class TestWindows:
             assert w.sum_sq == pytest.approx(1.0 / (2 * s + 1), abs=1e-12)
 
     def test_custom_weights_renormalized(self):
-        w = WeightWindow(weights=np.array([1.0, 2.0, 1.0]), half_width=1)
+        w = WeightWindow(weights=np.array([1.0, 2.0, 1.0]))
         assert w.weights.tolist() == [0.25, 0.5, 0.25]
 
     def test_invalid_weights(self):
         with pytest.raises(ParameterError):
-            WeightWindow(weights=np.array([0.5, -0.1, 0.6]), half_width=1)
+            WeightWindow(weights=np.array([0.5, -0.1, 0.6]))
         with pytest.raises(ParameterError):
-            WeightWindow(weights=np.array([0.5, 0.5]), half_width=1)
+            WeightWindow(weights=np.array([0.5, 0.5]))
 
 
 class TestSmoothedPeriodogram:

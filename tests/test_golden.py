@@ -65,7 +65,7 @@ def _special_band(curve, window):
     upper = curve.values * 2.0
     lower[:3] = [-0.0, 5e-324, -1e308]
     upper[:3] = [0.0, 1e-300, 1e308]
-    return Band(grid=curve.grid, lower=lower, upper=upper, method="surrogate")
+    return Band(grid=curve.grid, lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -222,6 +222,22 @@ class TestPermutationBandProperties:
             tracemalloc.stop()
         assert peak <= 8 * replicates * len(grid) + 128 * n
 
+    def test_memory_bound_with_many_replicates_on_one_target(self):
+        # the B child seeds are made one per replicate: made up front, they
+        # would take about 376 bytes each, far above the 8 bytes a cell takes
+        n, replicates = 256, 10_000
+        x = sample_noise(StudentT(3), n, 0)
+        win = daniell_window(2)
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, 0.9))
+        grid = FrequencyGrid.from_frequencies([1.0])
+        tracemalloc.start()
+        try:
+            permutation_band(ind, win, grid, replicates, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * replicates * len(grid) + 128 * n
+
 
 class TestExponentialDiagnostics:
     @staticmethod
@@ -298,7 +314,7 @@ class TestBandContainer:
     def test_rejects_crossed_edges(self):
         grid = FrequencyGrid.from_frequencies([0.5, 1.0])
         with pytest.raises(ParameterError):
-            Band(grid=grid, lower=np.array([1.0, 1.0]), upper=np.array([0.5, 2.0]), method="x")
+            Band(grid=grid, lower=np.array([1.0, 1.0]), upper=np.array([0.5, 2.0]))
 
     def test_contains(self):
         grid = FrequencyGrid.from_frequencies([0.5, 1.0, 1.5])
@@ -306,7 +322,6 @@ class TestBandContainer:
             grid=grid,
             lower=np.array([0.0, 0.0, 0.0]),
             upper=np.array([1.0, 1.0, 1.0]),
-            method="test",
         )
         got = band.contains([0.5, 1.5, -0.2])
         assert got.tolist() == [True, False, False]
