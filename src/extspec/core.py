@@ -211,7 +211,7 @@ def exceedance_indicators(series, tail_set: TailSet, threshold: Threshold) -> In
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing frequencies inside the open interval (0, pi).
+    """A non-empty, strictly increasing list of frequencies inside (0, pi).
 
     A Fourier grid carries ``n_ref`` and ``indices``: every frequency
     equals 2*pi*j/n_ref for the integer j stored in ``indices``.
@@ -226,11 +226,12 @@ class FrequencyGrid:
         object.__setattr__(self, "freqs", freqs)
         if freqs.ndim != 1:
             raise ParameterError("frequency grid must be one-dimensional")
-        if freqs.size:
-            if not (np.all(freqs > 0.0) and np.all(freqs < math.pi)):
-                raise ParameterError("frequencies must lie strictly inside (0, pi)")
-            if np.any(np.diff(freqs) <= 0):
-                raise ParameterError("frequencies must be strictly increasing")
+        if freqs.size == 0:
+            raise ParameterError("frequency grid is empty")
+        if not (np.all(freqs > 0.0) and np.all(freqs < math.pi)):
+            raise ParameterError("frequencies must lie strictly inside (0, pi)")
+        if np.any(np.diff(freqs) <= 0):
+            raise ParameterError("frequencies must be strictly increasing")
         if (self.n_ref is None) != (self.indices is None):
             raise ParameterError("fourier grids carry n_ref and integer indices")
         if self.fourier:
@@ -251,7 +252,8 @@ class FrequencyGrid:
 def fourier_grid(n: int) -> FrequencyGrid:
     """All Fourier frequencies 2*pi*j/n strictly inside (0, pi).
 
-    There are exactly ceil(n/2) - 1 of them (j = 1, ..., ceil(n/2) - 1).
+    There are exactly ceil(n/2) - 1 of them (j = 1, ..., ceil(n/2) - 1),
+    so n = 2 gives an empty grid, which is rejected.
     """
     if n < 2:
         raise InputError("need at least two observations for a Fourier grid")

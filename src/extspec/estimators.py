@@ -236,8 +236,6 @@ def sine_cosine_transforms(ind: IndicatorSeries, lam: float, m: float | None = N
 
 def periodogram(ind: IndicatorSeries, grid: FrequencyGrid, m: float | None = None) -> SpectralEstimate:
     """Tail-event periodogram (m/n) |sum_t (I_t - p0) e^(-i t lam)|^2."""
-    if len(grid) == 0:
-        raise ParameterError("frequency grid is empty")
     m = _resolve_m(ind, m)
     values = (m / ind.n) * _squared_modulus(ind, grid)
     return SpectralEstimate(grid=grid, values=values, kind="raw_periodogram")
@@ -249,8 +247,6 @@ def standardized_periodogram(ind: IndicatorSeries, grid: FrequencyGrid) -> Spect
     Equals |sum_t (I_t - p0) e^(-i t lam)|^2 / sum_t I_t, the ratio in
     which the normalization cancels exactly.
     """
-    if len(grid) == 0:
-        raise ParameterError("frequency grid is empty")
     if ind.n_events < 1:
         raise DegenerateDataError("no tail events: standardized periodogram undefined")
     values = _squared_modulus(ind, grid) / ind.n_events
@@ -281,8 +277,6 @@ def lag_window_curve(
     """
     if not 0 <= r < ind.n:
         raise ParameterError("need 0 <= r < n")
-    if len(grid) == 0:
-        raise ParameterError("frequency grid is empty")
     m = _resolve_m(ind, m)
     _warn_if_truncation_outruns(ind, r, m)
     # sum_t (b_t - p0)(b_{t+h} - p0) = C(h) - p0 (A(h) + B(h)) + (n - h) p0^2, where
@@ -345,15 +339,15 @@ def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> Spect
 def smoothed_window_sums(centered: np.ndarray, n_events: int, window: WeightWindow, starts):
     """Window sums of the standardized ordinates |sum_t c_t e^(-i t lam_j)|^2 / n_events.
 
-    ``starts`` picks the windows by their first Fourier index, an index
-    array as returned by :func:`~extspec.core.smoothing_window_starts`.
+    ``starts`` picks the windows by their first Fourier index, a non-empty
+    index array as returned by :func:`~extspec.core.smoothing_window_starts`.
     One real FFT of the centered indicators supplies the ordinates; only
     the span from the first to the last window is squared and correlated.
     """
     if n_events < 1:
         raise DegenerateDataError("no tail events: smoothed periodogram undefined")
-    lo = int(starts.min()) if starts.size else 1
-    hi = int(starts.max(initial=lo)) + window.weights.size
+    lo = int(starts.min())
+    hi = int(starts.max()) + window.weights.size
     std = _fft_power(centered, slice(lo, hi)) / n_events
     return np.correlate(std, window.weights, mode="valid")[starts - lo]
 
@@ -366,8 +360,7 @@ def smoothed_at_frequencies(
     Shares one FFT pass across all targets; each value averages the
     window of Fourier ordinates around its target.
     """
-    starts = smoothing_window_starts(freqs, ind.n, window.half_width)
+    grid = FrequencyGrid.from_frequencies(np.atleast_1d(freqs))
+    starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     vals = smoothed_window_sums(ind.centered(), ind.n_events, window, starts)
-    return SpectralEstimate(
-        grid=FrequencyGrid.from_frequencies(np.atleast_1d(freqs)), values=vals, kind="smoothed"
-    )
+    return SpectralEstimate(grid=grid, values=vals, kind="smoothed")

@@ -119,8 +119,6 @@ def permutation_band(
     lo_k, hi_k = envelope_order_statistics(replicates, level)
     if seed < 0:
         raise ParameterError("band seed must be a nonnegative integer")
-    if len(grid) == 0:
-        raise ParameterError("frequency grid is empty")
     require_bytes(replicates * len(grid), f"{replicates} replicates on {len(grid)} frequencies")
     if replicates < 19:
         warnings.warn(
@@ -167,10 +165,7 @@ def exponential_diagnostics(
     ordinates: SpectralEstimate, oracle: SpectralDensityOracle
 ) -> ExpDiagnostics:
     """Rescale ordinates by the oracle density and compare to Exp(1)."""
-    freqs = ordinates.grid.freqs
-    if freqs.size == 0:
-        raise ParameterError("no ordinates supplied")
-    ref = oracle.evaluate(freqs)
+    ref = oracle.evaluate(ordinates.grid.freqs)
     if np.any(ref <= 0):
         raise ParameterError("oracle density vanishes on the grid; rescaling undefined")
     ratios = ordinates.values / ref

@@ -110,15 +110,20 @@ class LinearFilter:
         return extra
 
 
+def _check_arma11(phi: float, theta: float = 0.0) -> None:
+    """Reject an ARMA(1,1) without a stationary causal solution or with a non-finite theta."""
+    if not 0.0 < abs(phi) < 1.0:
+        raise ParameterError("need 0 < |phi| < 1 for a stationary causal filter")
+    require_finite(theta, "need a finite theta")
+
+
 def arma11_filter(phi: float, theta: float) -> LinearFilter:
     """Causal ARMA(1,1) filter: psi_0 = 1, psi_j = phi**(j-1) * (phi+theta).
 
     Stores psi_0..psi_64 explicitly; the analytic geometric tail ratio
     phi lets consumers extend the list to any accuracy.
     """
-    if not 0.0 < abs(phi) < 1.0:
-        raise ParameterError("need 0 < |phi| < 1 for a stationary causal filter")
-    require_finite(theta, "need a finite theta")
+    _check_arma11(phi, theta)
     j = np.arange(1, 65)
     coeffs = np.concatenate([[1.0], (phi + theta) * phi ** (j - 1.0)])
     return LinearFilter(coeffs=coeffs, tail_ratio=phi)
@@ -235,9 +240,7 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
     A plateau (ratio 1) lasts while the pair minima still involve psi_0 = 1;
     negative phi alternates the filter signs, so those cases step by two lags.
     """
-    if not 0.0 < abs(phi) < 1.0:
-        raise ParameterError("need 0 < |phi| < 1")
-    require_finite(theta, "need a finite theta")
+    _check_arma11(phi, theta)
     total = phi + theta
     if total == 0.0:
         return "independent", []
@@ -329,8 +332,7 @@ def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> Spe
 
 def series_lag_for_accuracy(phi: float, alpha: float, eps: float = 1e-12) -> int:
     """Smallest H with |phi|**(alpha*H) < eps: truncation depth for the series route."""
-    if not 0.0 < abs(phi) < 1.0:
-        raise ParameterError("need 0 < |phi| < 1")
+    _check_arma11(phi)
     if not (0 < eps < 1):
         raise ParameterError("eps must lie in (0, 1)")
     return max(1, math.ceil(math.log(eps) / (alpha * math.log(abs(phi)))))

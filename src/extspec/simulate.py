@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import ParameterError, require_bytes, require_finite
-from .oracles import TailIndexSpec
+from .oracles import TailIndexSpec, _check_arma11
 
 _OVERFLOW = "the model parameters overflow the floating-point range"
 _CHUNK = 2**16  # values per pass of the filter loop
@@ -108,12 +108,7 @@ class Arma11Spec:
     noise: NoiseSpec
 
     def __post_init__(self):
-        if not 0.0 < abs(self.phi) < 1.0:
-            raise ParameterError(
-                "autoregressive coefficient must satisfy 0 < |phi| < 1 "
-                "(no stationary causal solution otherwise)"
-            )
-        require_finite(self.theta, "moving-average coefficient theta must be finite")
+        _check_arma11(self.phi, self.theta)
 
 
 def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:

@@ -374,7 +374,8 @@ class TestAnalyzeCommand:
         # the input does not exist: the flag is rejected before it is read
         assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
                     *flag]) == 2
-        assert flag[0].strip("-").replace("-", " ") in single_error(capsys)
+        # the input path contains the test's name, so the message must start with the flag
+        assert single_error(capsys).startswith("error: " + flag[0].strip("-").replace("-", " "))
         assert not (tmp_path / "o").exists()
 
     def test_level_with_surrogate_band_exit_2_before_reading(self, tmp_path, capsys):
@@ -382,6 +383,19 @@ class TestAnalyzeCommand:
         assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
                     "--band", "surrogate", "--level", 0.3]) == 2
         assert single_error(capsys).startswith("error: --level")
+        assert not (tmp_path / "o").exists()
+
+    def test_no_tail_events_exit_3(self, sim_file, tmp_path, capsys):
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
+                    "--tail-set", "upper:1e9"]) == 3
+        assert single_error(capsys).startswith("error: no tail events")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid", ["list:", "linspace:0.5:2.5:0"])
+    def test_empty_grid_exit_2(self, grid, sim_file, tmp_path, capsys):
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
+                    "--grid", grid]) == 2
+        assert "frequency grid is empty" in single_error(capsys)
         assert not (tmp_path / "o").exists()
 
     def test_malformed_input_exit_2_names_line(self, tmp_path, capsys):
@@ -530,6 +544,12 @@ class TestOracleCommand:
         assert run(["oracle", "arma11", "--phi=-1e-200", "--theta", 2, "--alpha", 1,
                     "--out-dir", out]) == 0
         _assert_finite_outputs("oracle", out)
+
+    def test_empty_grid_exit_2(self, tmp_path, capsys):
+        assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
+                    "--grid", "list:", "--out-dir", tmp_path / "o"]) == 2
+        assert "frequency grid is empty" in single_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_unsupported_case_exit_2(self, tmp_path, capsys):
         assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,

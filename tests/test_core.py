@@ -155,7 +155,14 @@ class TestFourierGrid:
         assert np.allclose(g.freqs, [math.pi / 4, math.pi / 2, 3 * math.pi / 4])
 
     def test_n2_empty(self):
-        assert len(fourier_grid(2)) == 0
+        # n = 2 has no Fourier frequency inside (0, pi), and a grid is never empty
+        with pytest.raises(ParameterError, match="empty"):
+            fourier_grid(2)
+
+    def test_empty_grid_rejected(self):
+        for freqs in ([], np.empty(0)):
+            with pytest.raises(ParameterError, match="empty"):
+                FrequencyGrid.from_frequencies(freqs)
 
     def test_n7(self):
         g = fourier_grid(7)
@@ -174,7 +181,7 @@ class TestFourierGrid:
                 FrequencyGrid(g.freqs, **partial)
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 500))
+    @given(n=st.integers(3, 500))
     def test_count_and_interior(self, n):
         g = fourier_grid(n)
         assert len(g) == math.ceil(n / 2) - 1

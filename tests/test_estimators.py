@@ -252,6 +252,11 @@ class TestPeriodogram:
         with pytest.raises(ParameterError):
             periodogram(ind, fourier_grid(2), m=1.0)
 
+    def test_no_target_frequencies_rejected(self, make_indicators):
+        ind = make_indicators(np.arange(64) % 5 == 0)
+        with pytest.raises(ParameterError, match="empty"):
+            smoothed_at_frequencies(ind, [], daniell_window(1))
+
 
 class TestStandardizedPeriodogram:
     def test_single_event_is_flat_one(self, make_indicators):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extspec import (
+    Arma11Spec,
     DegenerateDataError,
     LinearFilter,
     ParameterError,
@@ -14,6 +15,7 @@ from extspec import (
     arma11_spectral_oracle,
     extremogram_linear,
     series_lag_for_accuracy,
+    StudentT,
     spectral_from_extremogram,
 )
 
@@ -35,9 +37,22 @@ class TestFilter:
         assert np.allclose(f.coeffs[:4], [1.0, -0.3, 0.15, -0.075], atol=1e-15)
 
     def test_invalid_phi(self):
-        for phi in (0.0, 1.0, -1.2):
-            with pytest.raises(ParameterError):
-                arma11_filter(phi, 0.1)
+        # every ARMA(1,1) entry point checks the same domain: 0 < |phi| < 1, finite theta
+        entry_points = [
+            lambda phi, theta: Arma11Spec(phi=phi, theta=theta, noise=StudentT(3)),
+            arma11_filter,
+            lambda phi, theta: arma11_spectral_oracle(phi, theta, T3),
+            lambda phi, theta: arma11_extremogram_curve(phi, theta, T3, 5),
+            lambda phi, theta: series_lag_for_accuracy(phi, T3.alpha),
+        ]
+        for call in entry_points:
+            for phi in (0.0, 1.0, -1.2, math.nan):
+                with pytest.raises(ParameterError, match=r"0 < \|phi\| < 1"):
+                    call(phi, 0.1)
+        for call in entry_points[:-1]:  # series_lag_for_accuracy takes no theta
+            for theta in (math.nan, math.inf):
+                with pytest.raises(ParameterError, match="finite theta"):
+                    call(0.8, theta)
 
     def test_materialize_meets_tail_mass_target(self):
         f = arma11_filter(0.9, 0.3)
