@@ -345,14 +345,23 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
 
 
 def _write_records_json(path: Path, meta: dict, columns: dict) -> None:
-    # undefined cells (nan) are written as null: JSON has no nan token
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns.values()]
-    records = [
-        {k: None if math.isnan(v) else v for k, v in zip(columns, values)} for values in zip(*cols)
-    ]
+    """Stream ``{"config": meta, "rows": [...]}`` as ``json.dump(indent=2, sort_keys=True)``
+    writes it: each cell is ``repr(v)``, or null for nan.  No cell may be infinite.
+    """
+    keys = sorted(columns)
+    cols = [np.asarray(columns[k], dtype=float) for k in keys]
+    rows = max(1, _CHUNK_CELLS // len(cols))
+    fields = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
+    row = "\n    {{\n" + fields + "\n    }}"
+    head = json.dumps({"config": meta, "rows": []}, indent=2, sort_keys=True)
     with path.open("w") as fh:
-        json.dump({"config": meta, "rows": records}, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(head[: -len("]\n}")])
+        for start in range(0, cols[0].size, rows):
+            cells = np.column_stack([c[start : start + rows] for c in cols]).ravel().tolist()
+            text = ",".join([row] * (len(cells) // len(cols)))
+            text = text.format(*["null" if v != v else repr(v) for v in cells])
+            fh.write("," + text if start else text)
+        fh.write("\n  ]\n}\n")
 
 
 def run_analysis(args) -> dict:
@@ -374,6 +383,7 @@ def run_analysis(args) -> dict:
             "too few positive observations for scaled tail events"
         )
     ind = exceedance_indicators(x, tail_set, thr)
+    del x  # the rest of the pipeline reads the indicators only
     max_lag = min(args.max_lag, n - 1)
 
     extrem = estimators.sample_extremogram(ind, max_lag)
@@ -427,6 +437,10 @@ def run_analysis(args) -> dict:
     outputs = {name: f"{name}.{args.output_format}" for name in tables}
     config = {k: v for k, v in vars(args).items() if k not in _NOT_PROVENANCE}
     config_line = json.dumps(config, sort_keys=True)
+    if args.output_format == "json":  # check every table before the first is opened
+        for name, key in ((name, key) for name in tables for key in tables[name]):
+            if np.isinf(tables[name][key]).any():
+                raise ParameterError(f"{name} column {key!r} holds an infinity; JSON has none")
     for name, columns in tables.items():
         path = out_dir / outputs[name]
         if args.output_format == "csv":

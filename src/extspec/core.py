@@ -191,7 +191,7 @@ class IndicatorSeries:
 
     def centered(self) -> np.ndarray:
         """Indicator values with the empirical event rate removed."""
-        return self.bits.astype(float) - self.p0_hat
+        return np.subtract(self.bits, self.p0_hat, dtype=float)
 
 
 def exceedance_indicators(series, tail_set: TailSet, threshold: Threshold) -> IndicatorSeries:

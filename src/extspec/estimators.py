@@ -208,17 +208,23 @@ def _direct_sums(centered: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray,
     return cos_sums, sin_sums
 
 
-def _fft_power(centered: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """|sum_t c_t e^(-i t lam_j)|^2 at Fourier indices j via one real FFT."""
+def _fft_power(centered: np.ndarray, indices) -> np.ndarray:
+    """|sum_t c_t e^(-i t lam_j)|^2 at Fourier indices j via one real FFT.
+
+    Pass ``centered`` as a temporary: its last reference dies when the FFT
+    returns, so the series and the transform are never held with a modulus.
+    """
     spec = np.fft.rfft(centered)
-    return np.abs(spec[indices]) ** 2
+    del centered
+    power = np.abs(spec)[indices]
+    power **= 2
+    return power
 
 
 def _squared_modulus(ind: IndicatorSeries, grid: FrequencyGrid) -> np.ndarray:
-    centered = ind.centered()
     if grid.fourier and grid.n_ref == ind.n:
-        return _fft_power(centered, grid.indices)
-    cos_sums, sin_sums = _direct_sums(centered, grid)
+        return _fft_power(ind.centered(), grid.indices)
+    cos_sums, sin_sums = _direct_sums(ind.centered(), grid)
     return cos_sums**2 + sin_sums**2
 
 
@@ -293,12 +299,19 @@ def lag_window_curve(
 
 
 def cosine_series(freqs, c0: float, coefs) -> np.ndarray:
-    """c0 + 2 * sum_{h=1..H} coefs[h-1] cos(h*lam) at each lam, in row blocks of bounded size."""
-    h = np.arange(1, len(coefs) + 1)
+    """c0 + 2 * sum_{h=1..H} coefs[h-1] cos(h*lam) at each lam.
+
+    The angles h*lam and their cosines share one row block of at most
+    ``_SERIES_BLOCK_CELLS`` cells, reused for every block of frequencies.
+    """
+    h = np.arange(1.0, len(coefs) + 1)
     rows = max(1, _SERIES_BLOCK_CELLS // max(1, h.size))
     values = np.empty(freqs.size)
+    buffer = np.empty((min(rows, freqs.size), h.size))
     for lo in range(0, freqs.size, rows):
-        values[lo : lo + rows] = c0 + 2.0 * (np.cos(np.outer(freqs[lo : lo + rows], h)) @ coefs)
+        block = buffer[: min(rows, freqs.size - lo)]
+        np.cos(np.multiply(freqs[lo : lo + rows, None], h, out=block), out=block)
+        values[lo : lo + rows] = c0 + 2.0 * (block @ coefs)
     return values
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DegenerateDataError, ParameterError, require_bytes, require_finite
+from .core import DegenerateDataError, FrequencyGrid, ParameterError, require_bytes, require_finite
 from .estimators import Extremogram, cosine_series
 from .trigsums import cos_arith_sum, geometric_trig_sum
 
@@ -172,10 +172,8 @@ class SpectralDensityOracle:
     provenance: str
 
     def evaluate(self, freqs) -> np.ndarray:
-        freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-        if freqs.size and not (np.all(freqs > 0) and np.all(freqs < math.pi)):
-            raise ParameterError("oracle frequencies must lie in (0, pi)")
-        return np.asarray(self.fn(freqs), dtype=float)
+        """The density at a frequency grid, checked as :class:`FrequencyGrid` checks it."""
+        return np.asarray(self.fn(FrequencyGrid.from_frequencies(freqs).freqs), dtype=float)
 
 
 def spectral_from_extremogram(rho) -> SpectralDensityOracle:

@@ -79,15 +79,20 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
         raise ParameterError("seed must be a nonnegative integer")
     require_bytes(n, f"{n} noise values")
     rng = np.random.default_rng(seed)
+    # each draw is transformed in place: one n-long array plus the one being drawn
     if isinstance(spec, ParetoBalanced):
-        u = 1.0 - rng.random(n)  # uniform on (0, 1]; keeps U**(-1/alpha) finite
-        mag = u ** (-1.0 / spec.alpha)
-        sign = np.where(rng.random(n) < spec.upper_share, 1.0, -1.0)
-        return require_finite(sign * mag, _OVERFLOW)
+        u = rng.random(n)
+        np.subtract(1.0, u, out=u)  # uniform on (0, 1]; keeps U**(-1/alpha) finite
+        u **= -1.0 / spec.alpha
+        np.negative(u, out=u, where=rng.random(n) >= spec.upper_share)
+        return require_finite(u, _OVERFLOW)
     if isinstance(spec, StudentT):
         z = rng.standard_normal(n)
         g = rng.chisquare(spec.df, n)
-        return require_finite(z / np.sqrt(g / spec.df), _OVERFLOW)
+        g /= spec.df
+        np.sqrt(g, out=g)
+        z /= g
+        return require_finite(z, _OVERFLOW)
     raise ParameterError(f"unknown noise spec {spec!r}")
 
 
@@ -192,11 +197,14 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
     vol_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     a = spec.logvol_ar
     v0 = spec.logvol_sd / math.sqrt(1.0 - a * a) * vol_rng.standard_normal()
-    eps = spec.logvol_sd * vol_rng.standard_normal(total)
-    v = _first_order_filter(eps, 0.0, a)
+    v = vol_rng.standard_normal(total)
+    v *= spec.logvol_sd
+    v = _first_order_filter(v, 0.0, a)
     if v0 != 0.0:
-        v = v + v0 * a ** np.arange(1, total + 1)
-    return require_finite((np.exp(v) * z)[burnin:], _OVERFLOW)
+        v += v0 * a ** np.arange(1, total + 1)
+    np.exp(v, out=v)
+    v *= z
+    return require_finite(v[burnin:], _OVERFLOW)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from extspec import IndicatorSeries
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -6,17 +6,18 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extspec.cli import (
+    _write_records_json,
     _write_table,
     main,
     parse_grid,
@@ -26,6 +27,7 @@ from extspec.cli import (
     read_series_csv,
 )
 from extspec import (
+    Band,
     InputError,
     Interval,
     LowerRay,
@@ -34,6 +36,7 @@ from extspec import (
     StudentT,
     UpperRay,
     cli,
+    inference,
 )
 
 
@@ -244,13 +247,35 @@ class TestWriteTable:
         for rows in (2**11, 2**13):
             columns = {name: rng.standard_normal(rows) for name in "abcde"}
             columns["f"] = np.resize([math.nan, 0.0, 1e-300, 1e300], rows)
-            tracemalloc.start()
-            try:
-                _write_table(out, ["six columns"], columns)
-                peaks[rows] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[rows] = traced_peak(lambda: _write_table(out, ["six columns"], columns))
             assert out.read_bytes().count(b"\n") == rows + 2  # comment, header, rows
+        assert peaks[2**13] <= 1.05 * peaks[2**11]
+
+
+class TestWriteRecordsJson:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 2**12])
+    def test_bytes_match_json_dump(self, chunk, tmp_path, monkeypatch):
+        # the streamed text is json.dump's text of the whole document, for chunks
+        # that split rows anywhere; nan cells are null
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk)
+        values = [math.nan, -0.0, 5e-324, 1e308, -1e308, 0.1, -2.5, 1 / 3, 1e-7, 3.0]
+        columns = {"upper": np.array(values), "h": np.arange(10), "lambda": np.array(values[::-1])}
+        meta = {"q": 0.95, "input": "x\u00e9.csv", "window": "daniell:2"}
+        _write_records_json(tmp_path / "t.json", meta, columns)
+        rows = [{k: None if math.isnan(v) else v for k, v in zip(columns, cells)}
+                for cells in zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values()))]
+        expected = json.dumps({"config": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "t.json").read_text() == expected
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # rows are written one chunk at a time: 2^13 rows peak where 2^11 do
+        rng = np.random.default_rng(1)
+        peaks = {}
+        for rows in (2**11, 2**13):
+            columns = {name: rng.standard_normal(rows) for name in "abcde"}
+            path = tmp_path / f"t{rows}.json"
+            peaks[rows] = traced_peak(lambda: _write_records_json(path, {"n": rows}, columns))
+            assert len(json.loads(path.read_text())["rows"]) == rows
         assert peaks[2**13] <= 1.05 * peaks[2**11]
 
 
@@ -456,6 +481,24 @@ class TestAnalyzeCommand:
                 assert (record[key] is None) == (cell == "nan")
         assert any(record["smoothed"] is None for record in payload["rows"])
 
+    def test_json_infinite_cell_exit_2_before_writing(self, sim_file, tmp_path, monkeypatch,
+                                                       capsys):
+        def infinite_band(curve, window):
+            upper = curve.values * 2.0
+            upper[1] = math.inf
+            return Band(grid=curve.grid, lower=-upper, upper=upper)
+
+        monkeypatch.setattr(inference, "surrogate_band", infinite_band)
+        out = tmp_path / "inf"
+        assert run(["analyze", "--input", sim_file, "--out-dir", out, "--q", 0.95,
+                    "--window", "daniell:10", "--band", "surrogate", "--format", "json"]) == 2
+        assert single_error(capsys).startswith("error: spectrum column 'lower'")
+        assert list(out.iterdir()) == []
+        # CSV writes infinities as text
+        assert run(["analyze", "--input", sim_file, "--out-dir", out, "--q", 0.95,
+                    "--window", "daniell:10", "--band", "surrogate"]) == 0
+        assert "-inf" in (out / "spectrum.csv").read_text()
+
     def test_permutation_band_reruns_identical(self, sim_file, tmp_path):
         args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
                 "--band", "permutation", "--replicates", 29, "--band-seed", 4,
@@ -519,15 +562,12 @@ class TestOracleCommand:
         # 541 MB matrices, and the tail masses past the underflow of 0.8**j
         # (j ~ 3,340) would be lost, leaving a residual of 3.3e-7
         out = tmp_path / "dense"
-        tracemalloc.start()
-        try:
-            code = run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 0.03,
-                        "--grid", "linspace:0.001:3.14:16384", "--out-dir", out])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 64 * 2**20
+
+        def oracle():
+            assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 0.03,
+                        "--grid", "linspace:0.001:3.14:16384", "--out-dir", out]) == 0
+
+        assert traced_peak(oracle) < 64 * 2**20
         assert json.loads((out / "manifest.json").read_text())["max_series_residual"] <= 1e-8
 
     def test_degenerate_filter_flat_curve(self, tmp_path):

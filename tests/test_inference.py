@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,12 +214,7 @@ class TestPermutationBandProperties:
         q, win = 0.98, daniell_window(50)
         ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
         grid = smoothed_curve(ind, win).grid
-        tracemalloc.start()
-        try:
-            permutation_band(ind, win, grid, replicates, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: permutation_band(ind, win, grid, replicates, 1))
         assert peak <= 8 * replicates * len(grid) + 128 * n
 
     def test_memory_bound_with_many_replicates_on_one_target(self):
@@ -230,12 +225,7 @@ class TestPermutationBandProperties:
         win = daniell_window(2)
         ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, 0.9))
         grid = FrequencyGrid.from_frequencies([1.0])
-        tracemalloc.start()
-        try:
-            permutation_band(ind, win, grid, replicates, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: permutation_band(ind, win, grid, replicates, 1))
         assert peak <= 8 * replicates * len(grid) + 128 * n
 
 

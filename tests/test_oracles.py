@@ -115,6 +115,10 @@ class TestSeriesSpectralDensity:
         with pytest.raises(ParameterError):
             oracle.evaluate([3.2])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ParameterError, match="empty"):
+            arma11_spectral_oracle(0.8, 0.1, T3).evaluate([])
+
 
 class TestClosedFormExtremogram:
     def test_lag_zero_and_degenerate(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,13 @@ class TestNoise:
             assert np.array_equal(a, b)
             c = sample_noise(spec, 1000, 124)
             assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("spec", [StudentT(3), ParetoBalanced(3)])
+    def test_peak_memory(self, spec):
+        # each draw is transformed in place: the output, the second draw and
+        # the one-byte finiteness mask, 17n; out-of-place arithmetic made 32-33n
+        n = 2**16
+        assert traced_peak(lambda: sample_noise(spec, n, 1)) <= 18 * n
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
