@@ -490,7 +490,8 @@ def cmd_oracle(args) -> int:
     filt = oracles.arma11_filter(args.phi, args.theta)
     series_rho = oracles.extremogram_linear(filt, tail, series_h)
     series_oracle = oracles.spectral_from_extremogram(series_rho)
-    residual = float(np.max(np.abs(density - series_oracle.evaluate(grid.freqs))))
+    gap = np.abs(density - series_oracle.evaluate(grid.freqs))
+    residual, rel_residual = float(np.max(gap)), float(np.max(gap / density))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -520,6 +521,7 @@ def cmd_oracle(args) -> int:
         "provenance": oracle.provenance,
         "series_truncation": series_h,
         "max_series_residual": residual,
+        "max_series_rel_residual": rel_residual,
         "outputs": {
             "spectrum": "oracle_spectrum.csv",
             "extremogram": "oracle_extremogram.csv",

@@ -34,8 +34,6 @@ from .core import (
 
 SPECTRAL_KINDS = ("raw_periodogram", "standardized_periodogram", "lag_window", "smoothed")
 
-_SERIES_BLOCK_CELLS = 2**20  # cells in one row block of cosine_series' frequency x lag matrix
-
 
 @dataclass(frozen=True)
 class Extremogram:
@@ -208,22 +206,16 @@ def _direct_sums(centered: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray,
     return cos_sums, sin_sums
 
 
-def _fft_power(centered: np.ndarray, indices) -> np.ndarray:
-    """|sum_t c_t e^(-i t lam_j)|^2 at Fourier indices j via one real FFT.
-
-    Pass ``centered`` as a temporary: its last reference dies when the FFT
-    returns, so the series and the transform are never held with a modulus.
-    """
-    spec = np.fft.rfft(centered)
-    del centered
-    power = np.abs(spec)[indices]
+def _power(spectrum: np.ndarray, indices) -> np.ndarray:
+    """|spectrum_j|^2 at the indices j of a real FFT, squared in place (no complex copy)."""
+    power = np.abs(spectrum)[indices]
     power **= 2
     return power
 
 
 def _squared_modulus(ind: IndicatorSeries, grid: FrequencyGrid) -> np.ndarray:
     if grid.fourier and grid.n_ref == ind.n:
-        return _fft_power(ind.centered(), grid.indices)
+        return _power(np.fft.rfft(ind.centered()), grid.indices)
     cos_sums, sin_sums = _direct_sums(ind.centered(), grid)
     return cos_sums**2 + sin_sums**2
 
@@ -301,18 +293,17 @@ def lag_window_curve(
 def cosine_series(freqs, c0: float, coefs) -> np.ndarray:
     """c0 + 2 * sum_{h=1..H} coefs[h-1] cos(h*lam) at each lam.
 
-    The angles h*lam and their cosines share one row block of at most
-    ``_SERIES_BLOCK_CELLS`` cells, reused for every block of frequencies.
+    Clenshaw's recurrence over the lags needs only cos(lam): with
+    x = 2 cos(lam), b_h = coefs[h-1] + x b_{h+1} - b_{h+2} runs down from
+    h = H to 1 from b_{H+1} = b_{H+2} = 0, and the sum is c0 + b_1 x - 2 b_2.
+    Each frequency is computed on its own, so its bits do not depend on
+    the rest of the grid; memory is a few K-length arrays, whatever H.
     """
-    h = np.arange(1.0, len(coefs) + 1)
-    rows = max(1, _SERIES_BLOCK_CELLS // max(1, h.size))
-    values = np.empty(freqs.size)
-    buffer = np.empty((min(rows, freqs.size), h.size))
-    for lo in range(0, freqs.size, rows):
-        block = buffer[: min(rows, freqs.size - lo)]
-        np.cos(np.multiply(freqs[lo : lo + rows, None], h, out=block), out=block)
-        values[lo : lo + rows] = c0 + 2.0 * (block @ coefs)
-    return values
+    x = 2.0 * np.cos(freqs)
+    b1, b2 = np.zeros(x.size), np.zeros(x.size)
+    for c in coefs[::-1]:
+        b1, b2 = x * b1 + c - b2, b1
+    return c0 + (b1 * x - 2.0 * b2)
 
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:
@@ -349,19 +340,22 @@ def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> Spect
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
 
 
-def smoothed_window_sums(centered: np.ndarray, n_events: int, window: WeightWindow, starts):
-    """Window sums of the standardized ordinates |sum_t c_t e^(-i t lam_j)|^2 / n_events.
+def smoothed_window_sums(spectrum: np.ndarray, n_events: int, window: WeightWindow, starts):
+    """Window sums of the standardized ordinates |spectrum_j|^2 / n_events.
 
-    ``starts`` picks the windows by their first Fourier index, a non-empty
-    index array as returned by :func:`~extspec.core.smoothing_window_starts`.
-    One real FFT of the centered indicators supplies the ordinates; only
-    the span from the first to the last window is squared and correlated.
+    ``spectrum`` is the real FFT of the centered indicators; make it from
+    a temporary, as in ``np.fft.rfft(ind.centered())``, so the series dies
+    when the transform is made.  ``starts`` picks the windows by their
+    first Fourier index, a non-empty index array as returned by
+    :func:`~extspec.core.smoothing_window_starts`.  Only the span from the
+    first to the last window is squared and correlated.
     """
     if n_events < 1:
         raise DegenerateDataError("no tail events: smoothed periodogram undefined")
     lo = int(starts.min())
     hi = int(starts.max()) + window.weights.size
-    std = _fft_power(centered, slice(lo, hi)) / n_events
+    std = _power(spectrum, slice(lo, hi))
+    std /= n_events
     return np.correlate(std, window.weights, mode="valid")[starts - lo]
 
 
@@ -375,5 +369,5 @@ def smoothed_at_frequencies(
     """
     grid = FrequencyGrid.from_frequencies(np.atleast_1d(freqs))
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
-    vals = smoothed_window_sums(ind.centered(), ind.n_events, window, starts)
+    vals = smoothed_window_sums(np.fft.rfft(ind.centered()), ind.n_events, window, starts)
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")

@@ -130,9 +130,11 @@ def permutation_band(
     centered = ind.centered()
     reps = np.empty((replicates, len(grid)))
     for b, row in enumerate(reps):
-        child = np.random.SeedSequence(seed, spawn_key=(b,))
-        perm = np.random.default_rng(child).permutation(centered)
-        row[:] = smoothed_window_sums(perm, ind.n_events, window, starts)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        # the permutation is a temporary: it dies when its transform is made
+        row[:] = smoothed_window_sums(
+            np.fft.rfft(rng.permutation(centered)), ind.n_events, window, starts
+        )
     reps.sort(axis=0)
     return Band(grid=grid, lower=reps[lo_k - 1], upper=reps[hi_k - 1])
 

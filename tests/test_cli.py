@@ -558,9 +558,10 @@ class TestOracleCommand:
         assert f0 == pytest.approx(3.45, abs=0.05)  # low-frequency end of the curve
 
     def test_dense_series_check_is_bounded_and_accurate(self, tmp_path):
-        # series depth 4,128 on 16,384 points: one matrix product would hold two
-        # 541 MB matrices, and the tail masses past the underflow of 0.8**j
-        # (j ~ 3,340) would be lost, leaving a residual of 3.3e-7
+        # series depth 4,128 on 16,384 points: a frequency x lag matrix would
+        # hold 541 MB, where the recurrence holds a few grid-length arrays; and
+        # the tail masses past the underflow of 0.8**j (j ~ 3,340) would be
+        # lost, leaving a residual of 3.3e-7
         out = tmp_path / "dense"
 
         def oracle():
@@ -569,6 +570,14 @@ class TestOracleCommand:
 
         assert traced_peak(oracle) < 64 * 2**20
         assert json.loads((out / "manifest.json").read_text())["max_series_residual"] <= 1e-8
+
+    def test_small_alpha_relative_residual(self, tmp_path):
+        # at alpha 0.01 the absolute residual scales with f(0.001) = 746; relative
+        # to the density it stays near 1e-9 down to f(3.14) = 0.0011
+        out = tmp_path / "small"
+        assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 0.01,
+                    "--grid", "linspace:0.001:3.14:4096", "--out-dir", out]) == 0
+        assert json.loads((out / "manifest.json").read_text())["max_series_rel_residual"] <= 1e-8
 
     def test_degenerate_filter_flat_curve(self, tmp_path):
         out = tmp_path / "flat"

@@ -1,6 +1,5 @@
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,9 +34,9 @@ from extspec import (
     tail_event_rate,
     threshold_from_quantile,
 )
-from extspec import estimators
 from extspec.core import smoothing_window_starts
 from extspec.estimators import WeightWindow, _lag_products, cosine_series
+from extspec.oracles import series_lag_for_accuracy
 
 
 def random_indicators(make_indicators, rng, n=None, rate=None):
@@ -404,60 +403,72 @@ class TestLagWindow:
         assert got[0] == pytest.approx(oracle[0], abs=0.25)
 
 
-def one_block_series(freqs, c0, coefs):
-    """The reference: one matrix product over the whole frequency x lag grid."""
-    h = np.arange(1, len(coefs) + 1)
-    return c0 + 2.0 * (np.cos(np.outer(freqs, h)) @ coefs)
+def long_double_series(freqs, c0, coefs):
+    """The reference: the direct sum c0 + 2 sum_h coefs[h-1] cos(h*lam) in long double."""
+    h = np.arange(1, len(coefs) + 1, dtype=np.longdouble)
+    c = np.asarray(coefs, dtype=np.longdouble)
+    return np.array([np.longdouble(c0) + 2 * np.dot(c, np.cos(np.longdouble(lam) * h))
+                     for lam in freqs])
 
 
 class TestCosineSeries:
-    def test_one_block_is_bit_equal_to_one_matrix_product(self):
-        rng = np.random.default_rng(11)
-        for k, h in [(1, 1), (512, 42), (3, 0), (2**20, 1), (1, 2**20)]:
-            freqs = rng.uniform(0.0, math.pi, k)
-            coefs = rng.standard_normal(h)
-            got = cosine_series(freqs, 0.7, coefs)
-            assert np.array_equal(got, one_block_series(freqs, 0.7, coefs)), (k, h)
-
     @given(
-        k=st.integers(0, 300),
-        h=st.integers(0, 60),
-        budget=st.integers(1, 2000),
+        k=st.integers(0, 20),
+        h=st.integers(0, 300),
         c0=st.floats(-10.0, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_blocks_agree_with_one_product(self, k, h, budget, c0, seed):
+    def test_matches_a_long_double_direct_sum(self, k, h, c0, seed):
+        # the recurrence is worst at the ends of (0, pi), so they are always tested
+        rng = np.random.default_rng(seed)
+        freqs = np.concatenate([rng.uniform(0.0, math.pi, k), [0.0, 1e-3, math.pi - 1e-3, math.pi]])
+        coefs = rng.standard_normal(h) * 10.0 ** rng.uniform(-3, 3, h)
+        got = cosine_series(freqs, c0, coefs)
+        scale = abs(c0) + 2.0 * np.abs(coefs).sum()
+        assert got.shape == freqs.shape
+        assert np.all(np.abs(got - long_double_series(freqs, c0, coefs)) <= 1e-11 * scale)
+
+    @given(
+        k=st.integers(1, 200),
+        h=st.integers(0, 80),
+        cuts=st.lists(st.integers(0, 200), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bits_do_not_depend_on_how_the_grid_is_split(self, k, h, cuts, seed):
         rng = np.random.default_rng(seed)
         freqs = rng.uniform(0.0, math.pi, k)
-        coefs = rng.standard_normal(h) * 10.0 ** rng.uniform(-3, 3, h)
-        with mock.patch.object(estimators, "_SERIES_BLOCK_CELLS", budget):
-            got = cosine_series(freqs, c0, coefs)
-        scale = abs(c0) + 2.0 * np.abs(coefs).sum()
-        assert got.shape == (k,)
-        assert np.all(np.abs(got - one_block_series(freqs, c0, coefs)) <= 1e-12 * scale)
+        coefs = rng.standard_normal(h)
+        edges = sorted({0, k, *(min(c, k) for c in cuts)})
+        parts = [cosine_series(freqs[a:b], 0.7, coefs) for a, b in zip(edges, edges[1:])]
+        whole = cosine_series(freqs, 0.7, coefs)
+        assert np.array_equal(np.concatenate(parts), whole)
+        for i in range(0, k, 17):
+            assert cosine_series(freqs[i : i + 1], 0.7, coefs)[0] == whole[i]
 
-    def test_one_block_resident(self, monkeypatch):
-        # angles and cosines share one reused block: beyond the K-length output
-        # the peak is one block of 2^16 cells (plus the ufunc's small buffer);
-        # an angle matrix and its cosines held together made two
-        block_bytes = 8 * 2**16
-        monkeypatch.setattr(estimators, "_SERIES_BLOCK_CELLS", 2**16)
-        k, coefs = 2**14, np.random.default_rng(6).standard_normal(64)
+    def test_peak_memory_is_a_few_grid_lengths_whatever_the_depth(self):
+        # 2 cos(lam), the two recurrence arrays and one step's temporaries: a
+        # few K-length arrays, where a frequency x lag matrix grows with H
+        k = 2**14
         freqs = np.linspace(0.01, 3.13, k)
-        peak = traced_peak(lambda: cosine_series(freqs, 1.0, coefs))
-        assert peak - 8 * k <= 1.3 * block_bytes
-
-    def test_peak_memory_does_not_grow_with_grid(self, monkeypatch):
-        # blocks of 2^12 cells: past the K-length output, 2^14 frequencies peak
-        # where 2^12 do; one product would hold two K x 64 matrices
-        monkeypatch.setattr(estimators, "_SERIES_BLOCK_CELLS", 2**12)
-        coefs = np.random.default_rng(5).standard_normal(64)
         peaks = {}
-        for k in (2**12, 2**14):
-            freqs = np.linspace(0.01, 3.13, k)
-            peaks[k] = traced_peak(lambda: cosine_series(freqs, 1.0, coefs))
-        assert peaks[2**14] - peaks[2**12] <= 1.05 * 8 * (2**14 - 2**12)
+        for h in (64, 4096):
+            coefs = np.random.default_rng(h).standard_normal(h)
+            peaks[h] = traced_peak(lambda: cosine_series(freqs, 1.0, coefs))
+        assert peaks[4096] <= peaks[64] + 4096
+        assert peaks[64] <= 7 * 8 * k
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.001])
+    def test_small_alpha_geometric_series_within_1e_10(self, alpha):
+        # rho(h) = 0.8**(alpha h) to the oracle's series depth, H = 12,383 and 123,827;
+        # at lam = 0.001 the density is near its peak, at 3.14 near its floor
+        depth = series_lag_for_accuracy(0.8, alpha, 1e-12)
+        coefs = (0.8**alpha) ** np.arange(1, depth + 1)
+        freqs = np.array([0.001, 3.14])
+        want = long_double_series(freqs, 1.0, coefs)
+        rel = np.abs((cosine_series(freqs, 1.0, coefs) - want) / want)
+        assert np.all(rel <= 1e-10), rel
 
 
 class TestWindows:
@@ -532,6 +543,15 @@ class TestSmoothedPeriodogram:
         k = seed % len(curve.values)
         part = smoothed_at_frequencies(ind, curve.grid.freqs[k::3], w)
         assert np.array_equal(curve.values[k::3], part.values)
+
+    def test_peak_memory_at_targets(self):
+        # the centered series (8n bytes) dies when the FFT returns, as in the
+        # periodogram: the peak is the series and the transform, 16n; holding
+        # the series through the modulus made 20n
+        n = 2**16
+        ind = IndicatorSeries(np.random.default_rng(3).random(n) < 0.05)
+        w = daniell_window(5)
+        assert traced_peak(lambda: smoothed_at_frequencies(ind, [0.3, 1.5, 2.9], w)) <= 16.5 * n
 
     def test_smooth_ordinates_needs_full_fourier_grid(self, make_indicators):
         ind = random_indicators(make_indicators, np.random.default_rng(47), n=256)

@@ -42,7 +42,7 @@ CASES = {
                           "--grid", "list:0.5,1.0,2.0", "--max-lag", "3", "--out-dir", "out"]
        for name, phi, theta in (("pos_neg", "0.8", "-1.2"), ("neg_pos", "-0.6", "0.9"),
                                 ("neg_neg", "-0.6", "0.1"))},
-    # the default 512-point grid: 512 x 42 series cells, one block of the cosine series
+    # the default 512-point grid, with a cosine series of 42 lags
     "oracle_default": ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3",
                        "--out-dir", "out"],
     # real seeded noise: a burn-in or a max-MA window draws more than SPECIAL holds;
@@ -66,6 +66,10 @@ def _special_band(curve, window):
     lower[:3] = [-0.0, 5e-324, -1e308]
     upper[:3] = [0.0, 1e-300, 1e308]
     return Band(grid=curve.grid, lower=lower, upper=upper)
+
+
+def test_every_golden_directory_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
