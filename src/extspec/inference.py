@@ -89,6 +89,85 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     return lo, hi
 
 
+class _Stack:
+    """The k smallest of the values pushed at each of T frequencies, sorted.
+
+    Level j of the k x T stack holds the (j+1)-th smallest value so far.
+    A push updates every frequency, top level first: level j becomes
+    min(level j, max(level j-1, value)) and level 0 min(level 0, value),
+    which inserts the value at its rank and drops the old k-th smallest.
+    That is 2k - 1 array passes, whatever the value.
+    """
+
+    def __init__(self, count: int, k: int):
+        # one view per level, made once, so that a push allocates nothing
+        self.levels = list(np.full((k, count), np.inf))
+        self.carried = np.empty(count)
+
+    def push(self, values: np.ndarray) -> None:
+        levels, carried = self.levels, self.carried
+        for j in range(len(levels) - 1, 0, -1):
+            np.maximum(levels[j - 1], values, out=carried)
+            np.minimum(levels[j], carried, out=levels[j])
+        np.minimum(levels[0], values, out=levels[0])
+
+    def smallest(self, order: int) -> np.ndarray:
+        """The order-th smallest value pushed at each frequency, order <= k."""
+        return self.levels[order - 1].copy()
+
+
+class _Rows:
+    """The k smallest of the values pushed at each of T frequencies, in rows.
+
+    Each frequency has a row of 2k slots.  The first 2k pushes fill them,
+    and then every row is sorted so that its k smallest come first;
+    ``kth``, the k-th of them, is the row's entry bar.  After that a value
+    is kept only where it lies below the bar, in the row's next free
+    slot, and a row whose slots run out is sorted again.  A value that is
+    dropped lies at or above k values already seen, so each row holds the
+    k smallest.  A push costs one pass to find the rows it enters, plus
+    work for those rows only.
+    """
+
+    def __init__(self, count: int, k: int):
+        self.k, self.width = k, 2 * k
+        self.rows = np.full((count, 2 * k), np.inf)
+        self.used = np.full(count, k, dtype=np.int32)
+        self.kth = None
+        self.below = np.empty(count, dtype=bool)
+        self.pushed = 0
+
+    def push(self, values: np.ndarray) -> None:
+        k, width = self.k, self.width
+        if self.pushed < width:
+            self.rows[:, self.pushed] = values
+            self.pushed += 1
+            if self.pushed == width:
+                self.rows.sort(axis=1)
+                self.kth = self.rows[:, k - 1].copy()
+            return
+        # most pushes enter no row once B >> k: they allocate nothing
+        if not np.less(values, self.kth, out=self.below).any():
+            return
+        hit = np.flatnonzero(self.below)
+        used = self.used[hit]
+        self.rows.reshape(-1)[hit * width + used] = values[hit]
+        used += 1
+        self.used[hit] = used
+        full = hit[used == width]
+        if full.size:
+            rows = self.rows[full]
+            rows.sort(axis=1)
+            self.rows[full] = rows
+            self.kth[full] = rows[:, k - 1]
+            self.used[full] = k
+
+    def smallest(self, order: int) -> np.ndarray:
+        """The order-th smallest value pushed at each frequency, order <= k."""
+        self.rows.partition(order - 1, axis=1)
+        return self.rows[:, order - 1].copy()
+
+
 def permutation_band(
     ind: IndicatorSeries,
     window: WeightWindow,
@@ -112,31 +191,54 @@ def permutation_band(
     Replicate b draws its permutation from the b-th child of
     ``SeedSequence(seed)``, so the result depends only on ``seed``; each
     child is made when its replicate runs, not all B up front.
-    Memory: the B x T replicate matrix (8*B*T bytes for T = len(grid), at
-    most ``core.MAX_BYTES``), sorted in place, plus O(n) for one replicate
-    at a time.
+    Memory: the band keeps, at each of the T = len(grid) frequencies, the
+    lo smallest values so far and the B + 1 - hi <= lo largest, in at most
+    2*lo slots each (32*lo*T bytes, at most ``core.MAX_BYTES``), plus
+    O(T) bookkeeping, a copy of the rows a replicate fills up, and O(n)
+    for one replicate at a time.  Values are only moved, never computed,
+    so the band equals that of the sorted B x T replicate matrix bit for
+    bit.
     """
     lo_k, hi_k = envelope_order_statistics(replicates, level)
     if seed < 0:
         raise ParameterError("band seed must be a nonnegative integer")
-    require_bytes(replicates * len(grid), f"{replicates} replicates on {len(grid)} frequencies")
-    if replicates < 19:
+    require_bytes(
+        4 * lo_k * len(grid),
+        f"{replicates} replicates at level {level} on {len(grid)} frequencies",
+    )
+    if level * (replicates + 1) < 1.0 - 1e-9:
+        coverage = 100.0 * (replicates - 1) / (replicates + 1)
+        # np.ceil, not math.ceil: 1/level overflows to inf for a subnormal level
+        enough = max(2.0, np.ceil((1.0 - 1e-9) / level - 1.0))
         warnings.warn(
-            f"{replicates} replicates cannot resolve a 95% envelope; use 19 or more",
+            f"{replicates} replicates cannot resolve a {100.0 * (1.0 - level):.4g}% envelope: "
+            f"their minimum and maximum cover {coverage:.4g}%; use {enough:.0f} or more",
             stacklevel=2,
         )
 
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     centered = ind.centered()
-    reps = np.empty((replicates, len(grid)))
-    for b, row in enumerate(reps):
+    # Each push holds a curve and then its negation: the lo smallest values
+    # of the first half give the lower edge, and the B + 1 - hi <= lo
+    # smallest of the second half, negated back (negation is exact), the
+    # upper.  A push costs _Stack 2k - 1 array passes and _Rows about a
+    # dozen whatever k, so _Stack is the faster for k <= 6 (measured at
+    # n = 2^13 to 2^20); both keep the same values, so the choice moves no bit.
+    count = len(grid)
+    kept = (_Stack if lo_k <= 6 else _Rows)(2 * count, lo_k)
+    both = np.empty(2 * count)
+    curves, negated = both[:count], both[count:]
+    for b in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         # the permutation is a temporary: it dies when its transform is made
-        row[:] = smoothed_window_sums(
+        curves[:] = smoothed_window_sums(
             np.fft.rfft(rng.permutation(centered)), ind.n_events, window, starts
         )
-    reps.sort(axis=0)
-    return Band(grid=grid, lower=reps[lo_k - 1], upper=reps[hi_k - 1])
+        np.negative(curves, out=negated)
+        kept.push(both)
+    lower = kept.smallest(lo_k)[:count]
+    upper = -kept.smallest(replicates + 1 - hi_k)[count:]
+    return Band(grid=grid, lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)

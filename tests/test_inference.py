@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from extspec import (
     threshold_from_quantile,
 )
 from extspec.core import MAX_BYTES
+from extspec.inference import _Rows, _Stack
 
 
 def flat_curve(n_points=20, value=1.0):
@@ -123,17 +125,48 @@ class TestPermutationBand:
         with pytest.warns(UserWarning, match="envelope"):
             permutation_band(self._indicators(), daniell_window(2), grid, 5, 0)
 
+    @pytest.mark.parametrize(
+        "replicates,level,message",
+        [(50, 0.01, "50 replicates cannot resolve a 99% envelope: their minimum and maximum "
+                    "cover 96.08%; use 99 or more"),
+         (18, 0.05, "18 replicates cannot resolve a 95% envelope: their minimum and maximum "
+                    "cover 89.47%; use 19 or more")],
+    )
+    def test_warning_names_coverage_and_enough_replicates(self, replicates, level, message):
+        # (B + 1) * level < 1: the envelope is the minimum and maximum of the B curves
+        grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
+        with pytest.warns(UserWarning) as caught:
+            permutation_band(self._indicators(), daniell_window(2), grid, replicates, 0, level)
+        assert [str(w.message) for w in caught] == [message]
+
+    @pytest.mark.parametrize("replicates,level", [(10, 0.5), (19, 0.05), (99, 0.01)])
+    def test_no_warning_once_the_tails_are_resolved(self, replicates, level):
+        grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            permutation_band(self._indicators(), daniell_window(2), grid, replicates, 0, level)
+
     def test_memory_limit_checked_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
             raise AssertionError("the band allocated before checking its memory bound")
 
-        ind = self._indicators()
+        ind, win = self._indicators(), daniell_window(2)
         grid = FrequencyGrid.from_frequencies([0.8, 1.4, 2.0])
-        too_many = MAX_BYTES // (8 * len(grid)) + 1
+        # the band holds 4*lo slots per frequency, lo about B/40 at level 0.05:
+        # the B that filled MAX_BYTES with one value per replicate now fits,
+        # and 20 times that B does not
+        def band_bytes(replicates):
+            return 8 * 4 * envelope_order_statistics(replicates, 0.05)[0] * len(grid)
+
+        one_value_each = MAX_BYTES // (8 * len(grid)) + 1
+        assert band_bytes(one_value_each) <= MAX_BYTES
+        too_many = 20 * one_value_each
+        assert band_bytes(too_many) > MAX_BYTES
         monkeypatch.setattr(np.random, "SeedSequence", no_allocation)
-        monkeypatch.setattr(np, "empty", no_allocation)
+        for name in ("empty", "full", "zeros"):
+            monkeypatch.setattr(np, name, no_allocation)
         with pytest.raises(ParameterError, match="byte limit"):
-            permutation_band(ind, daniell_window(2), grid, too_many, 0)
+            permutation_band(ind, win, grid, too_many, 0)
 
     def test_deterministic_given_seed(self):
         x = sample_noise(StudentT(3), 2048, 3)
@@ -177,6 +210,19 @@ def _band_permuting_the_series(x, q, tail_set, window, targets, replicates, seed
     return reps[lo - 1], reps[hi - 1]
 
 
+def _assert_equals_band_from_permuted_series(n, s, q, seed, replicates, level, grid_of):
+    x = sample_noise(StudentT(3), n, seed)
+    win = daniell_window(s)
+    ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
+    grid = grid_of(ind, win)
+    band = permutation_band(ind, win, grid, replicates, seed, level)
+    lower, upper = _band_permuting_the_series(
+        x, q, UpperRay(1.0), win, grid.freqs, replicates, seed, level
+    )
+    assert np.array_equal(band.lower, lower) and np.array_equal(band.upper, upper)
+
+
+@pytest.mark.filterwarnings("ignore:.*cannot resolve:UserWarning")
 class TestPermutationBandProperties:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -184,49 +230,93 @@ class TestPermutationBandProperties:
         s=st.integers(0, 10),
         q=st.sampled_from([0.9, 0.95]),
         seed=st.integers(0, 2**32 - 1),
-        replicates=st.integers(19, 40),
+        replicates=st.integers(2, 60),
+        level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         fourier=st.booleans(),
         data=st.data(),
     )
-    def test_equals_band_from_permuted_series(self, n, s, q, seed, replicates, fourier, data):
-        x = sample_noise(StudentT(3), n, seed)
-        win = daniell_window(s)
-        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
+    def test_equals_band_from_permuted_series(
+        self, n, s, q, seed, replicates, level, fourier, data
+    ):
         if fourier:
-            grid = thin_grid(smoothed_curve(ind, win).grid, data.draw(st.integers(1, 60)))
+            def grid_of(ind, win):
+                return thin_grid(smoothed_curve(ind, win).grid, data.draw(st.integers(1, 60)))
         else:
             # targets between Fourier frequencies, each with an admissible window
             centers = data.draw(
                 st.lists(st.integers(s + 1, (n - 1) // 2 - s), min_size=1, max_size=20, unique=True)
             )
-            lams = [2 * math.pi * (j - data.draw(st.floats(0.0, 0.9))) / n for j in centers]
-            grid = FrequencyGrid.from_frequencies(sorted(lams))
-        band = permutation_band(ind, win, grid, replicates, seed, 0.1)
-        lower, upper = _band_permuting_the_series(
-            x, q, UpperRay(1.0), win, grid.freqs, replicates, seed, 0.1
-        )
-        assert np.array_equal(band.lower, lower) and np.array_equal(band.upper, upper)
+            lams = sorted(2 * math.pi * (j - data.draw(st.floats(0.0, 0.9))) / n for j in centers)
+
+            def grid_of(ind, win):
+                return FrequencyGrid.from_frequencies(lams)
+        _assert_equals_band_from_permuted_series(n, s, q, seed, replicates, level, grid_of)
+
+    @pytest.mark.parametrize(
+        "replicates,level,orders",
+        [
+            (2, 0.5, (1, 2)),  # one value kept on each side
+            (60, 0.1, (4, 57)),  # a sorted stack of depth 4
+            (60, 0.3, (10, 51)),  # rows of 20 slots, filled and sorted again
+            (60, 0.99, (31, 31)),  # deep and clipped to hi = lo; rows never fill
+        ],
+    )
+    def test_equals_band_from_permuted_series_at_the_corners(self, replicates, level, orders):
+        assert envelope_order_statistics(replicates, level) == orders
+
+        def grid_of(ind, win):
+            return thin_grid(smoothed_curve(ind, win).grid, 40)
+
+        _assert_equals_band_from_permuted_series(512, 3, 0.9, 11, replicates, level, grid_of)
+
+    @pytest.mark.parametrize("kind", [_Stack, _Rows])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(1, 40).flatmap(
+            lambda b: st.lists(
+                st.lists(st.integers(0, 5).map(float), min_size=3, max_size=3),
+                min_size=b, max_size=b,
+            )
+        ),
+        data=st.data(),
+    )
+    def test_kept_values_give_the_sorted_order_statistics(self, kind, values, data):
+        # ties included: values are drawn from six integers
+        pushed = np.array(values)
+        k = data.draw(st.integers(1, len(pushed)))
+        order = data.draw(st.integers(1, k))
+        kept = kind(pushed.shape[1], k)
+        for row in pushed:
+            kept.push(row.copy())
+        assert np.array_equal(kept.smallest(order), np.sort(pushed, axis=0)[order - 1])
+
+    @staticmethod
+    def _slots(replicates, level=0.05):
+        """The documented bound of the band's kept values: 4*lo slots per frequency."""
+        return 4 * envelope_order_statistics(replicates, level)[0]
 
     def test_memory_bound(self):
-        # documented bound: the B x T replicate matrix plus O(n)
+        # documented bound: the rows of kept order statistics plus O(n); the
+        # B x T replicate matrix alone (3.2 MB) would break it
         n, replicates = 2**13, 99
         x = sample_noise(StudentT(3), n, 0)
         q, win = 0.98, daniell_window(50)
         ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
         grid = smoothed_curve(ind, win).grid
         peak = traced_peak(lambda: permutation_band(ind, win, grid, replicates, 1))
-        assert peak <= 8 * replicates * len(grid) + 128 * n
+        assert peak <= 8 * self._slots(replicates) * len(grid) + 128 * n
 
     def test_memory_bound_with_many_replicates_on_one_target(self):
         # the B child seeds are made one per replicate: made up front, they
-        # would take about 376 bytes each, far above the 8 bytes a cell takes
+        # would take about 376 bytes each; the 10,000 replicate values
+        # (80 kB) would break the bound too
         n, replicates = 256, 10_000
         x = sample_noise(StudentT(3), n, 0)
         win = daniell_window(2)
         ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, 0.9))
         grid = FrequencyGrid.from_frequencies([1.0])
         peak = traced_peak(lambda: permutation_band(ind, win, grid, replicates, 1))
-        assert peak <= 8 * replicates * len(grid) + 128 * n
+        assert peak <= 8 * self._slots(replicates) * len(grid) + 128 * n
 
 
 class TestExponentialDiagnostics:
