@@ -89,33 +89,6 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     return lo, hi
 
 
-class _Stack:
-    """The k smallest of the values pushed at each of T frequencies, sorted.
-
-    Level j of the k x T stack holds the (j+1)-th smallest value so far.
-    A push updates every frequency, top level first: level j becomes
-    min(level j, max(level j-1, value)) and level 0 min(level 0, value),
-    which inserts the value at its rank and drops the old k-th smallest.
-    That is 2k - 1 array passes, whatever the value.
-    """
-
-    def __init__(self, count: int, k: int):
-        # one view per level, made once, so that a push allocates nothing
-        self.levels = list(np.full((k, count), np.inf))
-        self.carried = np.empty(count)
-
-    def push(self, values: np.ndarray) -> None:
-        levels, carried = self.levels, self.carried
-        for j in range(len(levels) - 1, 0, -1):
-            np.maximum(levels[j - 1], values, out=carried)
-            np.minimum(levels[j], carried, out=levels[j])
-        np.minimum(levels[0], values, out=levels[0])
-
-    def smallest(self, order: int) -> np.ndarray:
-        """The order-th smallest value pushed at each frequency, order <= k."""
-        return self.levels[order - 1].copy()
-
-
 class _Rows:
     """The k smallest of the values pushed at each of T frequencies, in rows.
 
@@ -156,7 +129,8 @@ class _Rows:
         self.used[hit] = used
         full = hit[used == width]
         if full.size:
-            rows = self.rows[full]
+            # take copies whole rows several times faster than rows[full]
+            rows = self.rows.take(full, axis=0)
             rows.sort(axis=1)
             self.rows[full] = rows
             self.kth[full] = rows[:, k - 1]
@@ -192,8 +166,8 @@ def permutation_band(
     ``SeedSequence(seed)``, so the result depends only on ``seed``; each
     child is made when its replicate runs, not all B up front.
     Memory: the band keeps, at each of the T = len(grid) frequencies, the
-    lo smallest values so far and the B + 1 - hi <= lo largest, in at most
-    2*lo slots each (32*lo*T bytes, at most ``core.MAX_BYTES``), plus
+    lo smallest values so far and the B + 1 - hi <= lo largest, in 2*lo
+    slots each (32*lo*T bytes, at most ``core.MAX_BYTES``), plus
     O(T) bookkeeping, a copy of the rows a replicate fills up, and O(n)
     for one replicate at a time.  Values are only moved, never computed,
     so the band equals that of the sorted B x T replicate matrix bit for
@@ -209,7 +183,7 @@ def permutation_band(
     if level * (replicates + 1) < 1.0 - 1e-9:
         coverage = 100.0 * (replicates - 1) / (replicates + 1)
         # np.ceil, not math.ceil: 1/level overflows to inf for a subnormal level
-        enough = max(2.0, np.ceil((1.0 - 1e-9) / level - 1.0))
+        enough = np.ceil((1.0 - 1e-9) / level - 1.0)
         warnings.warn(
             f"{replicates} replicates cannot resolve a {100.0 * (1.0 - level):.4g}% envelope: "
             f"their minimum and maximum cover {coverage:.4g}%; use {enough:.0f} or more",
@@ -221,11 +195,9 @@ def permutation_band(
     # Each push holds a curve and then its negation: the lo smallest values
     # of the first half give the lower edge, and the B + 1 - hi <= lo
     # smallest of the second half, negated back (negation is exact), the
-    # upper.  A push costs _Stack 2k - 1 array passes and _Rows about a
-    # dozen whatever k, so _Stack is the faster for k <= 6 (measured at
-    # n = 2^13 to 2^20); both keep the same values, so the choice moves no bit.
+    # upper.
     count = len(grid)
-    kept = (_Stack if lo_k <= 6 else _Rows)(2 * count, lo_k)
+    kept = _Rows(2 * count, lo_k)
     both = np.empty(2 * count)
     curves, negated = both[:count], both[count:]
     for b in range(replicates):

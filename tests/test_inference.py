@@ -30,7 +30,7 @@ from extspec import (
     threshold_from_quantile,
 )
 from extspec.core import MAX_BYTES
-from extspec.inference import _Rows, _Stack
+from extspec.inference import _Rows
 
 
 def flat_curve(n_points=20, value=1.0):
@@ -256,7 +256,7 @@ class TestPermutationBandProperties:
         "replicates,level,orders",
         [
             (2, 0.5, (1, 2)),  # one value kept on each side
-            (60, 0.1, (4, 57)),  # a sorted stack of depth 4
+            (60, 0.1, (4, 57)),  # rows of 8 slots, filled and sorted again often
             (60, 0.3, (10, 51)),  # rows of 20 slots, filled and sorted again
             (60, 0.99, (31, 31)),  # deep and clipped to hi = lo; rows never fill
         ],
@@ -269,7 +269,6 @@ class TestPermutationBandProperties:
 
         _assert_equals_band_from_permuted_series(512, 3, 0.9, 11, replicates, level, grid_of)
 
-    @pytest.mark.parametrize("kind", [_Stack, _Rows])
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.integers(1, 40).flatmap(
@@ -280,12 +279,12 @@ class TestPermutationBandProperties:
         ),
         data=st.data(),
     )
-    def test_kept_values_give_the_sorted_order_statistics(self, kind, values, data):
+    def test_kept_values_give_the_sorted_order_statistics(self, values, data):
         # ties included: values are drawn from six integers
         pushed = np.array(values)
         k = data.draw(st.integers(1, len(pushed)))
         order = data.draw(st.integers(1, k))
-        kept = kind(pushed.shape[1], k)
+        kept = _Rows(pushed.shape[1], k)
         for row in pushed:
             kept.push(row.copy())
         assert np.array_equal(kept.smallest(order), np.sort(pushed, axis=0)[order - 1])
@@ -295,16 +294,24 @@ class TestPermutationBandProperties:
         """The documented bound of the band's kept values: 4*lo slots per frequency."""
         return 4 * envelope_order_statistics(replicates, level)[0]
 
-    def test_memory_bound(self):
-        # documented bound: the rows of kept order statistics plus O(n); the
-        # B x T replicate matrix alone (3.2 MB) would break it
-        n, replicates = 2**13, 99
+    def _assert_memory_bound_at_n_2e13(self, replicates):
+        # documented bound: the rows of kept order statistics plus O(n)
+        n = 2**13
         x = sample_noise(StudentT(3), n, 0)
         q, win = 0.98, daniell_window(50)
         ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, q))
         grid = smoothed_curve(ind, win).grid
         peak = traced_peak(lambda: permutation_band(ind, win, grid, replicates, 1))
         assert peak <= 8 * self._slots(replicates) * len(grid) + 128 * n
+
+    def test_memory_bound(self):
+        # the B x T replicate matrix alone (3.2 MB) would break the bound
+        self._assert_memory_bound_at_n_2e13(99)
+
+    def test_memory_bound_with_rows_that_fill(self):
+        # lo = 25: rows of 50 slots fill and are copied out to be sorted
+        # again; the 32 MB replicate matrix would break the 4.2 MB bound
+        self._assert_memory_bound_at_n_2e13(999)
 
     def test_memory_bound_with_many_replicates_on_one_target(self):
         # the B child seeds are made one per replicate: made up front, they
