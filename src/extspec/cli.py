@@ -265,83 +265,78 @@ def _write_table(path: Path, comments: list[str], columns: dict, header: bool = 
 
 
 # .17g writes |v| in [1e-4, 1e17) as fixed-point text with 17 significant digits
-# d = round(|v| * 10**k), k = 16 - floor(log10|v|).  With 10**k = 5**k * 2**k,
-# |v| * 5**k is exact as hi + lo (Dekker's product; 5**20 < 2**53) and ldexp
-# scales both by 2**k exactly.  The text is gathered from a source row of bytes
-# through one layout per decimal exponent and sign; other cells use format().
+# d = round(|v| * 10**k), k = 16 - floor(log10|v|).  |v| * 2**k is exact, and so is
+# its product with 5**k as hi + lo (Dekker's product; 5**20 < 2**53).  A cell is one
+# 28-byte row: "0000", then d with a zero digit inserted k places from the right, as
+# 20 digits; the point takes byte 23 - k and the "0.000" of |v| < 1 is padding.  A
+# row keeps its text and separator; nan, +-0, +-inf are one word, the rest format().
 _POW5 = np.array([5**k for k in range(21)], dtype=float)
 _POW5_HI = _POW5 * 134217729.0 - (_POW5 * 134217729.0 - _POW5)  # Veltkamp split
 _POW5_LO = _POW5 - _POW5_HI
+_POW2 = 2.0 ** np.arange(21)
+_POW10 = 10 ** np.minimum(np.arange(21), 17)  # d < 10**17: no digit moves for k > 16
 _WORDS = (  # the ASCII bytes of 0000..9999, one uint32 each
-    np.stack([np.arange(10_000) // 10**j % 10 + 48 for j in (3, 2, 1, 0)], 1)
-    .astype(np.uint8)
-    .view(np.uint32)[:, 0]
+    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+    .view(np.uint32)
+    .reshape(-1)
 )
-_SOURCE = "-0." + " " * 17 + "naif"  # bytes 3-19 hold the 17 digits
-_COLS = np.arange(25, dtype=np.uint8)  # widest cell: 24 bytes and its separator
-
-
-def _layouts():
-    """Per text layout: the source byte of each text byte, its length, and two zero counts."""
-    texts = []  # (text, trailing zeros it may strip, trailing zeros that drop its point)
-    for e in range(-4, 17):
-        if e < 0:  # 0.000ddd: all 17 digits follow the point
-            body, strip, point = "0." + "0" * (-e - 1) + "D" * 17, 16, 17
-        else:  # ddd.ddd: e + 1 digits before the point
-            body, strip, point = "D" * (e + 1) + "." + "D" * (16 - e), 16 - e, 16 - e
-        texts += [(body, strip, point), ("-" + body, strip, point)]
-    texts += [(t, 0, 17) for t in ("nan", "0", "-0", "inf", "-inf")]  # layouts 42-46
-    index = np.zeros((len(texts), 25), dtype=np.intp)
-    for g, (t, _, _) in enumerate(texts):
-        digits = iter(range(3, 20))
-        index[g, : len(t)] = [next(digits) if ch == "D" else _SOURCE.index(ch) for ch in t]
-    return index, *(np.array(c, dtype=np.uint8) for c in zip(*((len(t), s, p) for t, s, p in texts)))
-
-
-_INDEX, _LEN, _STRIP, _POINT = _layouts()
+_ZEROS = np.zeros(10_000, np.uint8)  # trailing zero digits of 0000..9999
+_ZEROS[::10], _ZEROS[::100], _ZEROS[::1000], _ZEROS[0] = 1, 2, 3, 4
+_SPECIAL = np.array([b"nan", b"0", b"-0", b"inf", b"-inf"])  # 4 bytes each, NUL-padded
+_SPECIAL_LEN = np.array([len(t) for t in _SPECIAL])
+_COLS = np.arange(28)  # _KEEP[25 * start + end] keeps bytes start..end of a row
+_KEEP = ((_COLS >= np.arange(7)[:, None, None]) & (_COLS <= np.arange(25)[:, None])).reshape(-1, 28)
 
 
 def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     """The ``.17g`` text of each cell of ``v`` followed by its separator, as bytes."""
     m = v.size
     a, neg = np.abs(v), np.signbit(v)
-    fast = (a >= 1e-4) & (a < 1e17)
-    special = np.where(np.isnan(v), 42, np.where(a == 0, 43, 45) + neg)
-    fallback = (a > 0) & (a < np.inf)
-    a = np.where(fast, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
-    k = 16 - e
+    good = (a >= 1e-4) & (a < 1e17)
+    a[~good] = 1.0
+    k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    a *= _POW2[k]
     split = a * 134217729.0
     ah = split - (split - a)
     al = a - ah
     hi = a * _POW5[k]
     lo = ((ah * _POW5_HI[k] - hi) + ah * _POW5_LO[k] + al * _POW5_HI[k]) + al * _POW5_LO[k]
-    # hi * 2**k is an even integer, so rounding lo half-even rounds the sum half-even
-    d = np.ldexp(hi, k).astype(np.int64) + np.rint(np.ldexp(lo, k)).astype(np.int64)
+    # hi is an even integer, so rounding lo half-even rounds the sum half-even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # log10 can land a decade off near powers of ten: d then has 16 or 18 digits
-    good = fast & (d >= 10**16) & (d < 10**17)
-    fallback &= ~good
-    g = np.where(good, 2 * (e + 4) + neg, special)
-    src = np.empty((m, 24), dtype=np.uint8)
-    src[:] = np.frombuffer(_SOURCE.encode(), np.uint8)
-    lead, rest = np.divmod(d, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    src[:, 3] = lead + 48
-    words = src.view(np.uint32)
-    words[:, 1], words[:, 2] = _WORDS[upper // 10**4], _WORDS[upper % 10**4]
-    words[:, 3], words[:, 4] = _WORDS[lower // 10**4], _WORDS[lower % 10**4]
-    index = _INDEX.take(g, axis=0)
-    index += np.arange(0, 24 * m, 24)[:, None]
-    text = src.reshape(-1).take(index)
-    zeros = np.argmax(src[:, 19:2:-1] != 48, axis=1).astype(np.uint8)  # trailing zero digits
-    n = _LEN[g] - np.minimum(zeros, _STRIP[g]) - (zeros >= _POINT[g])
-    rare = np.flatnonzero(fallback)  # .17g text is at most 24 bytes and has no blank
+    good &= (d >= 10**16) & (d < 10**17)
+    p = _POW10[k]
+    x = d + 9 * p * (d // p)
+    row = np.empty((m, 7), np.uint32)
+    row[:, 0] = _WORDS[0]
+    zeros = np.zeros(m, np.uint8)  # trailing zero digits of x
+    for c in (5, 4, 3, 2, 1):  # x in groups of four digits, the last first
+        q = x // 10**4
+        x -= q * 10**4
+        row[:, c] = _WORDS[x]
+        zeros += (zeros == 20 - 4 * c) * _ZEROS[x]
+        x = q
+    text = row.view(np.uint8)
+    at = np.arange(0, 28 * m, 28)
+    lead = np.minimum(21 - k, 5)  # the byte before the first digit
+    text.reshape(-1)[at + 23 - k] = 46
+    text.reshape(-1)[at + lead] = np.where(neg, 45, 48)
+    start = lead + 1 - neg
+    end = np.where(zeros < k, 24 - zeros, 23 - k)  # a zero fraction drops its point
+    rare = np.flatnonzero(~good)
+    w = v[rare]
+    special = (w == 0) | ~np.isfinite(w)
+    s, w = rare[special], w[special]
+    kind = np.where(np.isnan(w), 0, np.where(w == 0, 1, 3) + np.signbit(w))
+    row[s, 1] = _SPECIAL.view(np.uint32)[kind]
+    start[s], end[s] = 4, 4 + _SPECIAL_LEN[kind]
+    rare = rare[~special]  # .17g text is at most 24 bytes and has no blank
     cells = ("{:<24.17g}" * rare.size).format(*v[rare].tolist()).encode()
     cells = np.frombuffer(cells, np.uint8).reshape(-1, 24)
     text[rare, :24] = cells
-    n[rare] = (cells != 32).sum(axis=1)
-    text.reshape(-1)[np.arange(0, 25 * m, 25) + n] = seps[:m]
-    return text[_COLS <= n[:, None]]
+    start[rare], end[rare] = 0, (cells != 32).sum(axis=1)
+    text.reshape(-1)[at + end] = seps[:m]
+    return text[_KEEP.take(25 * start + end, axis=0)]
 
 
 def _write_records_json(path: Path, meta: dict, columns: dict) -> None:

@@ -348,15 +348,18 @@ def smoothed_window_sums(spectrum: np.ndarray, n_events: int, window: WeightWind
     when the transform is made.  ``starts`` picks the windows by their
     first Fourier index, a non-empty index array as returned by
     :func:`~extspec.core.smoothing_window_starts`.  Only the span from the
-    first to the last window is squared and correlated.
+    first to the last window is squared and correlated, and a run of
+    starts (all admissible Fourier centers, say) returns all of it.
     """
     if n_events < 1:
         raise DegenerateDataError("no tail events: smoothed periodogram undefined")
     lo = int(starts.min())
     hi = int(starts.max()) + window.weights.size
+    every = bool((np.diff(starts) == 1).all())
     std = _power(spectrum, slice(lo, hi))
     std /= n_events
-    return np.correlate(std, window.weights, mode="valid")[starts - lo]
+    sums = np.correlate(std, window.weights, mode="valid")
+    return sums if every else sums[starts - lo]
 
 
 def smoothed_at_frequencies(

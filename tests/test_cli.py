@@ -215,10 +215,28 @@ POWER_NEIGHBOURS = [
 ]
 
 
+# cells the writer prints in fixed point, 1e-4 <= |v| < 1e17, with either sign
+FIXED_POINT = st.builds(
+    math.copysign, st.floats(1e-4, 1e17, exclude_max=True), st.sampled_from([1.0, -1.0])
+)
+# per decimal exponent e = -4..16, with either sign: 17 significant digits (the
+# widest fraction) and, for e >= 0, a whole number (no point) and one with a
+# single fraction digit
+FIXED_POINT_EXAMPLES = [123.0, 12.5, 1e16, 12345678901234567.0, 0.00012345678901234567]
+for e in range(-4, 17):
+    FIXED_POINT_EXAMPLES.append(float(f"1.2345678901234567e{e}"))
+    if e >= 0:
+        whole = float("12345678901234567"[: e + 1])
+        FIXED_POINT_EXAMPLES += [whole, whole + 0.5]
+FIXED_POINT_EXAMPLES += [-v for v in FIXED_POINT_EXAMPLES]
+
+
 class TestWriteTable:
     @given(
         table=st.integers(1, 5).flatmap(
-            lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), min_size=1)
+            lambda k: st.lists(
+                st.lists(st.one_of(st.floats(), FIXED_POINT), min_size=k, max_size=k), min_size=1
+            )
         ),
         chunk=st.integers(1, 16),
     )
@@ -226,6 +244,7 @@ class TestWriteTable:
     @example(table=[[9.9999999999999991e-05], [0.0001], [1e-4]], chunk=16)
     @example(table=[[v] for v in POWER_NEIGHBOURS], chunk=16)
     @example(table=[[1e17], [99999999999999999.0]], chunk=16)
+    @example(table=[[v] for v in FIXED_POINT_EXAMPLES], chunk=16)
     @example(table=[[50.0, 0.1, 0.0, -0.0, 5e-324], [1e308, -1e308, -5e-324, 1e-4, -50.0]], chunk=3)
     @settings(max_examples=300, deadline=None)
     def test_cells_match_format_17g(self, table, chunk, tmp_path_factory):
@@ -250,6 +269,13 @@ class TestWriteTable:
             peaks[rows] = traced_peak(lambda: _write_table(out, ["six columns"], columns))
             assert out.read_bytes().count(b"\n") == rows + 2  # comment, header, rows
         assert peaks[2**13] <= 1.05 * peaks[2**11]
+
+    def test_format_cells_peak_per_cell(self):
+        # each cell is built in one 28-byte row: a chunk of 4,096 N(0,1) cells
+        # peaks near 190 bytes a cell
+        v = np.random.default_rng(2).standard_normal(4096)
+        seps = np.resize(np.frombuffer(b",\n", np.uint8), v.size)
+        assert traced_peak(lambda: cli._format_cells(v, seps)) <= 256 * v.size
 
 
 class TestWriteRecordsJson:

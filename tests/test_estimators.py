@@ -35,7 +35,7 @@ from extspec import (
     threshold_from_quantile,
 )
 from extspec.core import smoothing_window_starts
-from extspec.estimators import WeightWindow, _lag_products, cosine_series
+from extspec.estimators import WeightWindow, _lag_products, cosine_series, smoothed_window_sums
 from extspec.oracles import series_lag_for_accuracy
 
 
@@ -552,6 +552,24 @@ class TestSmoothedPeriodogram:
         ind = IndicatorSeries(np.random.default_rng(3).random(n) < 0.05)
         w = daniell_window(5)
         assert traced_peak(lambda: smoothed_at_frequencies(ind, [0.3, 1.5, 2.9], w)) <= 16.5 * n
+
+    def test_fourier_run_keeps_the_correlation(self):
+        # on the admissible Fourier centers the windows start at lo, lo + 1, ...,
+        # so the sums are the correlation itself: the peak is the moduli and the
+        # sums, 2 x 8T bytes for T centers
+        n = 2**16
+        ind = IndicatorSeries(np.random.default_rng(3).random(n) < 0.05)
+        w = daniell_window(5)
+        curve = smoothed_curve(ind, w)
+        starts = smoothing_window_starts(curve.grid.freqs, n, w.half_width)
+        spectrum = np.fft.rfft(ind.centered())
+        sums = smoothed_window_sums(spectrum, ind.n_events, w, starts)
+        assert np.array_equal(sums, curve.values)
+        assert np.array_equal(
+            smoothed_window_sums(spectrum, ind.n_events, w, starts[1::2]), curve.values[1::2]
+        )
+        peak = traced_peak(lambda: smoothed_window_sums(spectrum, ind.n_events, w, starts))
+        assert peak < 2.5 * 8 * starts.size
 
     def test_smooth_ordinates_needs_full_fourier_grid(self, make_indicators):
         ind = random_indicators(make_indicators, np.random.default_rng(47), n=256)
