@@ -293,6 +293,9 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     m = v.size
     a, neg = np.abs(v), np.signbit(v)
     good = (a >= 1e-4) & (a < 1e17)
+    if not good.any():  # no fixed-point cell: format() does the whole chunk at once
+        template = "{:.17g}" + "{:.17g}".join(seps[:m].tobytes().decode())
+        return np.frombuffer(template.format(*v.tolist()).encode(), np.uint8)
     a[~good] = 1.0
     k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     a *= _POW2[k]
@@ -324,17 +327,18 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     start = lead + 1 - neg
     end = np.where(zeros < k, 24 - zeros, 23 - k)  # a zero fraction drops its point
     rare = np.flatnonzero(~good)
-    w = v[rare]
-    special = (w == 0) | ~np.isfinite(w)
-    s, w = rare[special], w[special]
-    kind = np.where(np.isnan(w), 0, np.where(w == 0, 1, 3) + np.signbit(w))
-    row[s, 1] = _SPECIAL.view(np.uint32)[kind]
-    start[s], end[s] = 4, 4 + _SPECIAL_LEN[kind]
-    rare = rare[~special]  # .17g text is at most 24 bytes and has no blank
-    cells = ("{:<24.17g}" * rare.size).format(*v[rare].tolist()).encode()
-    cells = np.frombuffer(cells, np.uint8).reshape(-1, 24)
-    text[rare, :24] = cells
-    start[rare], end[rare] = 0, (cells != 32).sum(axis=1)
+    if rare.size:
+        w = v[rare]
+        special = (w == 0) | ~np.isfinite(w)
+        s, w = rare[special], w[special]
+        kind = np.where(np.isnan(w), 0, np.where(w == 0, 1, 3) + np.signbit(w))
+        row[s, 1] = _SPECIAL.view(np.uint32)[kind]
+        start[s], end[s] = 4, 4 + _SPECIAL_LEN[kind]
+        rare = rare[~special]  # .17g text is at most 24 bytes and has no blank
+        cells = ("{:<24.17g}" * rare.size).format(*v[rare].tolist()).encode()
+        cells = np.frombuffer(cells, np.uint8).reshape(-1, 24)
+        text[rare, :24] = cells
+        start[rare], end[rare] = 0, (cells != 32).sum(axis=1)
     text.reshape(-1)[at + end] = seps[:m]
     return text[_KEEP.take(25 * start + end, axis=0)]
 

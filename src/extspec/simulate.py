@@ -19,7 +19,9 @@ from .core import ParameterError, require_bytes, require_finite
 from .oracles import TailIndexSpec, _check_arma11
 
 _OVERFLOW = "the model parameters overflow the floating-point range"
-_CHUNK = 2**16  # values per pass of the filter loop
+_CHUNK = 2**16  # values per pass of the scalar filter loop
+_TILE = 64  # lockstep positions per copy of the lanes into a contiguous block
+_MIN_LANES = 32  # with fewer lanes, the lockstep is slower than the scalar loop
 
 
 @dataclass(frozen=True)
@@ -116,20 +118,51 @@ class Arma11Spec:
         _check_arma11(self.phi, self.theta)
 
 
+def _lane_length(a: float) -> int:
+    """Values per lane of ``_first_order_filter`` for the coefficient ``a``.
+
+    Two paths of the recursion started from different states differ by a
+    factor |a| a step, so they agree to 2**-53 = e**-36.7 after about
+    37 / -ln|a| steps; a lane is 12 times that, and at least 2048 values.
+    """
+    meet = 37.0 / -math.log(abs(a)) if a else 0.0
+    return max(2048, math.ceil(12.0 * meet))
+
+
 def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:
     """y_t = x_t + b1 * x_{t-1} + a * y_{t-1}, started at rest.
 
     The operations and their order are those of
     ``scipy.signal.lfilter([1, b1], [1, -a], x)`` (transposed direct form
     II: y = s + x, then s = x*b1 - y*(-a)), so the output is the same bit
-    for bit, signed zeros included.  The loop runs on Python floats,
-    which are IEEE doubles rounded exactly as in C, ``_CHUNK`` at a time
-    to bound their memory.
+    for bit, signed zeros, inf and nan included.
+
+    The input is cut into lanes of ``_lane_length(a)`` consecutive values,
+    and all lanes run those operations in lockstep from rest, one position
+    at a time on numpy vectors.  Lane 0 starts at the true rest state, so
+    it is exact.  Since s is a function of x_t and y_t, a lane is exact
+    from the first value that equals the true one bit for bit; each later
+    lane is rerun as a scalar loop on Python floats (IEEE doubles rounded
+    exactly as in C) from the exact end of the one before, until its value
+    meets the lane's.  A lane that never meets is rerun whole, so the
+    result never rests on convergence.  Too few lanes to pay for the
+    lockstep, and the values after the last lane, take the scalar loop,
+    ``_CHUNK`` values at a time to bound its memory.
     """
     out = np.empty(x.size)
     na = -a
-    s = 0.0
-    for start in range(0, x.size, _CHUNK):
+    width = _lane_length(a)
+    lanes = x.size // width
+    if lanes < _MIN_LANES:
+        lanes = 0
+    else:
+        span = lanes * width
+        _lockstep(x[:span].reshape(lanes, width), out[:span].reshape(lanes, width), b1, na)
+    for lo in range(width, lanes * width, width):
+        _repair(x, out, lo, lo + width, b1, na)
+    lo = lanes * width
+    s = float(x[lo - 1]) * b1 - float(out[lo - 1]) * na if lo else 0.0
+    for start in range(lo, x.size, _CHUNK):
         ys = []
         for xt in x[start : start + _CHUNK].tolist():
             y = s + xt
@@ -137,6 +170,42 @@ def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:
             s = xt * b1 - y * na
         out[start : start + len(ys)] = ys
     return out
+
+
+def _lockstep(x: np.ndarray, y: np.ndarray, b1: float, na: float) -> None:
+    """The filter from rest along each row of x into y, all rows at once."""
+    lanes, width = x.shape
+    staging = np.empty((lanes, _TILE))  # a copy lane by lane reads x in order
+    tile = np.empty((_TILE, lanes))  # the ufuncs run on contiguous positions
+    tb1 = np.empty((_TILE, lanes))
+    s = np.zeros(lanes)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the scalar loop, which never warns
+        for lo in range(0, width, _TILE):
+            k = min(_TILE, width - lo)
+            np.copyto(staging[:, :k], x[:, lo : lo + k])
+            np.copyto(tile[:k], staging[:, :k].T)
+            np.multiply(staging[:, :k].T, b1, out=tb1[:k])
+            for row, t in zip(tile[:k], tb1):
+                np.add(s, row, out=row)  # the row now holds y
+                np.multiply(row, na, out=s)
+                np.subtract(t, s, out=s)
+            y[:, lo : lo + k] = tile[:k].T
+
+
+def _repair(x: np.ndarray, y: np.ndarray, lo: int, hi: int, b1: float, na: float) -> None:
+    """Rerun lane y[lo:hi] from the exact value before it, up to its first right value."""
+    s = float(x[lo - 1]) * b1 - float(y[lo - 1]) * na
+    for start in range(lo, hi, _TILE):
+        stop = min(start + _TILE, hi)
+        ys = []
+        for xt, v in zip(x[start:stop].tolist(), y[start:stop].tolist()):
+            y_t = s + xt
+            if y_t == v and y_t != 0.0:  # == does not tell +0 from -0
+                y[start : start + len(ys)] = ys
+                return
+            ys.append(y_t)
+            s = xt * b1 - y_t * na
+        y[start:stop] = ys
 
 
 def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = None) -> np.ndarray:

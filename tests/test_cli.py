@@ -246,6 +246,8 @@ class TestWriteTable:
     @example(table=[[1e17], [99999999999999999.0]], chunk=16)
     @example(table=[[v] for v in FIXED_POINT_EXAMPLES], chunk=16)
     @example(table=[[50.0, 0.1, 0.0, -0.0, 5e-324], [1e308, -1e308, -5e-324, 1e-4, -50.0]], chunk=3)
+    # a chunk with no fixed-point cell
+    @example(table=[[1e-9, -0.0], [math.inf, math.nan], [-2.5e20, 5e-324]], chunk=16)
     @settings(max_examples=300, deadline=None)
     def test_cells_match_format_17g(self, table, chunk, tmp_path_factory):
         columns = {f"c{j}": [row[j] for row in table] for j in range(len(table[0]))}
@@ -669,6 +671,15 @@ def test_bad_model_parameters_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
     sink = ["--out-dir", out] if argv[0] == "oracle" else ["--n", 10, "--seed", 1, "--out", out]
     assert run([*argv, *sink]) == 2
+    single_error(capsys)
+    assert not out.exists()
+
+
+def test_overflow_in_the_filter_lanes_exit_2(tmp_path, capsys):
+    # --n 10 above runs the scalar loop alone; 200,000 values run the lanes
+    out = tmp_path / "out"
+    argv = ["simulate", "arma11", "--phi", 0.8, "--theta", "1e308", "--n", 200_000, "--seed", 1]
+    assert run([*argv, "--out", out]) == 2
     single_error(capsys)
     assert not out.exists()
 

@@ -1,9 +1,11 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import traced_peak
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extspec import (
@@ -25,7 +27,8 @@ from extspec import (
     simulate_sv,
     threshold_from_quantile,
 )
-from extspec.simulate import _first_order_filter
+from extspec import simulate
+from extspec.simulate import _TILE, _first_order_filter, _lane_length
 
 
 class TestNoise:
@@ -129,6 +132,16 @@ def filter_cases(draw):
     return phi, theta, z
 
 
+def scalar_filter(x, b1, a):
+    """The reference: the recursion as one loop on Python floats, in lfilter's order."""
+    ys, s, na = [], 0.0, -a
+    for xt in x.tolist():
+        y = s + xt
+        ys.append(y)
+        s = xt * b1 - y * na
+    return np.array(ys)
+
+
 class TestFirstOrderFilter:
     @given(case=filter_cases())
     @settings(max_examples=300, deadline=None)
@@ -145,6 +158,77 @@ class TestFirstOrderFilter:
         whole = _first_order_filter(z, 0.1, 0.8)
         monkeypatch.setattr("extspec.simulate._CHUNK", 7)
         assert _first_order_filter(z, 0.1, 0.8).tobytes() == whole.tobytes()
+
+    # lanes of 1-3 values and tiles of 1-2 positions: 100-150 values form
+    # at least 33 lanes and a tail; a = 0 is reached by `sv --logvol-ar 0`
+    @given(
+        case=st.tuples(
+            st.one_of(st.just(0.0), COEF),
+            st.one_of(st.just(0.0), VALUES),
+            st.lists(VALUES, min_size=100, max_size=150).map(np.array),
+        ),
+        width=st.integers(1, 3),
+        tile=st.integers(1, 2),
+    )
+    # the true path enters lane 1 at -0.0, the lane from rest reads +0.0
+    @example(case=(0.0, 0.0, np.array([-1.0] + [-0.0] * 99)), width=2, tile=2)
+    @settings(max_examples=100, deadline=None)
+    def test_lanes_are_the_scalar_loop(self, case, width, tile):
+        signal = pytest.importorskip("scipy.signal")
+        phi, theta, z = case
+        with mock.patch.object(simulate, "_lane_length", lambda a: width), \
+                mock.patch.object(simulate, "_TILE", tile):
+            got = _first_order_filter(z, theta, phi)
+        assert got.tobytes() == scalar_filter(z, theta, phi).tobytes()
+        assert got.tobytes() == signal.lfilter([1.0, theta], [1.0, -phi], z).tobytes()
+
+    @pytest.mark.parametrize("phi", [0.3, -0.5, 0.8])
+    def test_lanes_that_meet_and_lanes_rerun_whole(self, phi, monkeypatch):
+        # lanes of 100 values: at phi 0.3 and -0.5 the rerun meets a lane after
+        # 31 and 52 values (median), at phi 0.8 it needs about 166: every lane is rerun whole
+        z = sample_noise(StudentT(3), 100 * 40 + 37, 4)
+        monkeypatch.setattr("extspec.simulate._lane_length", lambda a: 100)
+        assert _first_order_filter(z, 0.1, phi).tobytes() == scalar_filter(z, 0.1, phi).tobytes()
+
+    def test_peak_memory(self):
+        # the output and three tiles of _TILE positions per lane: 8.75n at n = 2^20
+        z = sample_noise(StudentT(3), 2**20 + 1000, 1)
+        lanes = z.size // _lane_length(0.8)
+        peak = traced_peak(lambda: _first_order_filter(z, 0.1, 0.8))
+        assert peak <= 8 * z.size + 3 * 8 * _TILE * lanes + 2**17
+
+    def test_overflow_raises_without_warning(self):
+        # 200,000 values run the lanes, where inf - inf makes nan
+        spec = Arma11Spec(phi=0.8, theta=1e308, noise=StudentT(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflow"):
+                simulate_arma11(spec, 200_000, 1)
+
+
+N_FULL = 2**20
+
+
+@pytest.fixture(scope="module")
+def full_size_references():
+    """A t(3) ARMA(0.8, 0.1) draw by the scalar loop, and an SV draw by the plain loop."""
+    burnin = default_burnin(0.8)
+    z = sample_noise(StudentT(3), N_FULL + burnin, 7)
+    arma = scalar_filter(z, 0.1, 0.8)[burnin:]
+    with mock.patch.object(simulate, "_lane_length", lambda a: 2**62):  # no lanes
+        sv = simulate_sv(SvSpec(logvol_ar=0.9, logvol_sd=0.5, noise=StudentT(3)), N_FULL, 7)
+    return arma, sv
+
+
+@pytest.mark.parametrize("width", [None, 3000], ids=["model", "3000"])
+def test_full_size_draws_are_the_scalar_loop(width, full_size_references, monkeypatch):
+    if width is not None:
+        monkeypatch.setattr("extspec.simulate._lane_length", lambda a: width)
+    arma, sv = full_size_references
+    x = simulate_arma11(Arma11Spec(phi=0.8, theta=0.1, noise=StudentT(3)), N_FULL, 7)
+    assert x.tobytes() == arma.tobytes()
+    x = simulate_sv(SvSpec(logvol_ar=0.9, logvol_sd=0.5, noise=StudentT(3)), N_FULL, 7)
+    assert x.tobytes() == sv.tobytes()
 
 
 class TestStochasticVolatility:
