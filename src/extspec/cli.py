@@ -293,9 +293,6 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     m = v.size
     a, neg = np.abs(v), np.signbit(v)
     good = (a >= 1e-4) & (a < 1e17)
-    if not good.any():  # no fixed-point cell: format() does the whole chunk at once
-        template = "{:.17g}" + "{:.17g}".join(seps[:m].tobytes().decode())
-        return np.frombuffer(template.format(*v.tolist()).encode(), np.uint8)
     a[~good] = 1.0
     k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     a *= _POW2[k]

@@ -21,7 +21,7 @@ from .oracles import TailIndexSpec, _check_arma11
 _OVERFLOW = "the model parameters overflow the floating-point range"
 _CHUNK = 2**16  # values per pass of the scalar filter loop
 _TILE = 64  # lockstep positions per copy of the lanes into a contiguous block
-_MIN_LANES = 32  # with fewer lanes, the lockstep is slower than the scalar loop
+_MIN_LANES = 24  # timed at 4-32 lanes, the lockstep overtook the scalar loop between 16 and 24
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,12 @@ def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:
     it is exact.  Since s is a function of x_t and y_t, a lane is exact
     from the first value that equals the true one bit for bit; each later
     lane is rerun as a scalar loop on Python floats (IEEE doubles rounded
-    exactly as in C) from the exact end of the one before, until its value
-    meets the lane's.  A lane that never meets is rerun whole, so the
-    result never rests on convergence.  Too few lanes to pay for the
-    lockstep, and the values after the last lane, take the scalar loop,
-    ``_CHUNK`` values at a time to bound its memory.
+    exactly as in C) from the exact end of the one before, ``_TILE`` values
+    at a time, until the last value of a tile meets the lane's.  A lane
+    that never meets is rerun whole, so the result never rests on
+    convergence.  Too few lanes to pay for the lockstep, and the values
+    after the last lane, take the scalar loop, ``_CHUNK`` values at a time
+    to bound its memory.
     """
     out = np.empty(x.size)
     na = -a
@@ -159,16 +160,8 @@ def _first_order_filter(x: np.ndarray, b1: float, a: float) -> np.ndarray:
         span = lanes * width
         _lockstep(x[:span].reshape(lanes, width), out[:span].reshape(lanes, width), b1, na)
     for lo in range(width, lanes * width, width):
-        _repair(x, out, lo, lo + width, b1, na)
-    lo = lanes * width
-    s = float(x[lo - 1]) * b1 - float(out[lo - 1]) * na if lo else 0.0
-    for start in range(lo, x.size, _CHUNK):
-        ys = []
-        for xt in x[start : start + _CHUNK].tolist():
-            y = s + xt
-            ys.append(y)
-            s = xt * b1 - y * na
-        out[start : start + len(ys)] = ys
+        _scalar(x, out, lo, lo + width, b1, na, meet=True)
+    _scalar(x, out, lanes * width, x.size, b1, na, meet=False)
     return out
 
 
@@ -192,20 +185,27 @@ def _lockstep(x: np.ndarray, y: np.ndarray, b1: float, na: float) -> None:
             y[:, lo : lo + k] = tile[:k].T
 
 
-def _repair(x: np.ndarray, y: np.ndarray, lo: int, hi: int, b1: float, na: float) -> None:
-    """Rerun lane y[lo:hi] from the exact value before it, up to its first right value."""
-    s = float(x[lo - 1]) * b1 - float(y[lo - 1]) * na
-    for start in range(lo, hi, _TILE):
-        stop = min(start + _TILE, hi)
+def _scalar(
+    x: np.ndarray, y: np.ndarray, lo: int, hi: int, b1: float, na: float, meet: bool
+) -> None:
+    """The scalar loop into y[lo:hi], from the exact value y[lo - 1] (from rest if lo = 0).
+
+    With ``meet``, y[lo:hi] holds a lockstep lane, and the loop stops after
+    a tile whose last value equals the lane's: from there on the lane is exact.
+    """
+    s = float(x[lo - 1]) * b1 - float(y[lo - 1]) * na if lo else 0.0
+    step = _TILE if meet else _CHUNK  # a repair mostly stops in its first few tiles
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
         ys = []
-        for xt, v in zip(x[start:stop].tolist(), y[start:stop].tolist()):
+        for xt in x[start:stop].tolist():
             y_t = s + xt
-            if y_t == v and y_t != 0.0:  # == does not tell +0 from -0
-                y[start : start + len(ys)] = ys
-                return
             ys.append(y_t)
             s = xt * b1 - y_t * na
+        met = meet and y_t == y[stop - 1] and y_t != 0.0  # == does not tell +0 from -0
         y[start:stop] = ys
+        if met:
+            return
 
 
 def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = None) -> np.ndarray:
