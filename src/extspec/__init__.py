@@ -34,7 +34,6 @@ from .estimators import (
     periodogram,
     sample_extremogram,
     sine_cosine_transforms,
-    smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
     standardized_periodogram,

@@ -252,16 +252,22 @@ def cmd_simulate(args) -> int:
 
 def _write_table(path: Path, comments: list[str], columns: dict, header: bool = True) -> None:
     """Write named 1-d columns as CSV text, each cell exactly ``format(v, ".17g")``."""
-    cols = [np.asarray(c, dtype=float) for c in columns.values()]
-    rows = max(1, _CHUNK_CELLS // len(cols))
-    seps = np.resize(np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8), rows * len(cols))
+    pattern = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    seps = np.resize(pattern, max(_CHUNK_CELLS, len(columns)))  # covers a chunk of whole rows
     with path.open("wb") as fh:
         fh.write("".join(f"# {line}\n" for line in comments).encode())
         if header:
             fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, cols[0].size, rows):
-            cells = np.column_stack([c[start : start + rows] for c in cols]).ravel()
+        for cells in _row_chunks(columns.values()):
             fh.write(_format_cells(cells, seps))
+
+
+def _row_chunks(columns):
+    """Cells of the 1-d ``columns`` row by row, in chunks of max(1, _CHUNK_CELLS // width) rows."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    rows = max(1, _CHUNK_CELLS // len(cols))
+    for start in range(0, cols[0].size, rows):
+        yield np.column_stack([c[start : start + rows] for c in cols]).ravel()
 
 
 # .17g writes |v| in [1e-4, 1e17) as fixed-point text with 17 significant digits
@@ -345,18 +351,15 @@ def _write_records_json(path: Path, meta: dict, columns: dict) -> None:
     writes it: each cell is ``repr(v)``, or null for nan.  No cell may be infinite.
     """
     keys = sorted(columns)
-    cols = [np.asarray(columns[k], dtype=float) for k in keys]
-    rows = max(1, _CHUNK_CELLS // len(cols))
     fields = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
     row = "\n    {{\n" + fields + "\n    }}"
     head = json.dumps({"config": meta, "rows": []}, indent=2, sort_keys=True)
     with path.open("w") as fh:
         fh.write(head[: -len("]\n}")])
-        for start in range(0, cols[0].size, rows):
-            cells = np.column_stack([c[start : start + rows] for c in cols]).ravel().tolist()
-            text = ",".join([row] * (len(cells) // len(cols)))
-            text = text.format(*["null" if v != v else repr(v) for v in cells])
-            fh.write("," + text if start else text)
+        for i, cells in enumerate(_row_chunks(columns[k] for k in keys)):
+            text = ",".join([row] * (cells.size // len(keys)))
+            text = text.format(*["null" if v != v else repr(v) for v in cells.tolist()])
+            fh.write("," + text if i else text)
         fh.write("\n  ]\n}\n")
 
 
@@ -368,6 +371,8 @@ def run_analysis(args) -> dict:
         raise ParameterError("level must lie in (0, 1)")
     if args.band == "surrogate" and args.level != 0.05:
         raise ParameterError("--level sets the permutation band; the surrogate band is 95% only")
+    if args.band == "permutation":
+        inference._check_band(args.replicates, args.level, args.band_seed)
     tail_set = parse_tail_set(args.tail_set)
     window = parse_window(args.window)
     x = read_series_csv(args.input)
@@ -388,35 +393,24 @@ def run_analysis(args) -> dict:
     grid = parse_grid(args.grid, n)
     raw = estimators.standardized_periodogram(ind, grid)
 
-    smoothed = np.full(len(grid), np.nan)
     if grid.fourier and grid.n_ref == n:
         curve = estimators.smooth_ordinates(raw, window)
-        # admissible centers are a contiguous run of the Fourier grid
-        offset = int(curve.grid.indices[0] - grid.indices[0])
-        smoothed[offset : offset + len(curve.grid)] = curve.values
+        rows = slice(window.half_width, window.half_width + len(curve.grid))
     else:
         curve = estimators.smoothed_at_frequencies(ind, grid.freqs, window)
-        smoothed[:] = curve.values
-
-    lower = np.full(len(grid), np.nan)
-    upper = np.full(len(grid), np.nan)
+        rows = slice(None)
+    smoothed, lower, upper = np.full((3, len(grid)), np.nan)
+    smoothed[rows] = curve.values
     band_info: dict = {"method": args.band}
+    if args.band == "surrogate":
+        band = inference.surrogate_band(curve, window)
+    elif args.band == "permutation":
+        band = inference.permutation_band(
+            ind, window, curve.grid, args.replicates, args.band_seed, args.level
+        )
+        band_info.update(replicates=args.replicates, seed=args.band_seed, level=args.level)
     if args.band != "none":
-        if args.band == "surrogate":
-            band = inference.surrogate_band(curve, window)
-        else:
-            band = inference.permutation_band(
-                ind,
-                window,
-                curve.grid,
-                replicates=args.replicates,
-                seed=args.band_seed,
-                level=args.level,
-            )
-            band_info.update(replicates=args.replicates, seed=args.band_seed, level=args.level)
-        mask = ~np.isnan(smoothed)
-        lower[mask] = band.lower
-        upper[mask] = band.upper
+        lower[rows], upper[rows] = band.lower, band.upper
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

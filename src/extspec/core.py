@@ -2,7 +2,7 @@
 indicators and Fourier frequency grids.
 
 All constructors validate their inputs and every object is immutable
-after construction, so values can be shared freely across workers.
+after construction.
 """
 
 from __future__ import annotations

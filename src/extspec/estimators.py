@@ -307,59 +307,46 @@ def cosine_series(freqs, c0: float, coefs) -> np.ndarray:
 
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:
-    """Smoothed standardized periodogram at every admissible Fourier frequency.
-
-    Admissible centers are those whose full smoothing window stays
-    inside (0, pi).  One FFT pass supplies all ordinates.
-    """
+    """Smoothed standardized periodogram at every admissible Fourier frequency, from one FFT."""
     return smooth_ordinates(standardized_periodogram(ind, fourier_grid(ind.n)), window)
 
 
 def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> SpectralEstimate:
-    """Window sums of standardized ordinates given on the full Fourier grid of n.
+    """Window sums of the standardized periodogram on the full Fourier grid of n.
 
     The result lives on the admissible centers, the Fourier frequencies
-    whose full smoothing window stays inside (0, pi); callers that already
-    hold the ordinates (as ``analyze`` does) smooth them without a second
-    FFT.
+    whose full smoothing window stays inside (0, pi): rows s to len - s - 1
+    of the full grid.  ``analyze``, which holds the ordinates, smooths them
+    without a second FFT.
     """
-    full = ordinates.grid
-    if ordinates.kind != "standardized_periodogram" or not (
-        full.fourier and len(full) == math.ceil(full.n_ref / 2) - 1
-    ):
-        raise ParameterError("smoothing needs standardized ordinates on the full Fourier grid")
-    s = window.half_width
+    full, s = ordinates.grid, window.half_width
     if len(full) < 2 * s + 1:
         raise ParameterError("series too short for this smoothing half-width")
-    grid = FrequencyGrid(
-        freqs=full.freqs[s : len(full) - s],
-        n_ref=full.n_ref,
-        indices=full.indices[s : len(full) - s],
-    )
-    vals = np.correlate(ordinates.values, window.weights, mode="valid")
+    run = slice(s, len(full) - s)
+    grid = FrequencyGrid(freqs=full.freqs[run], n_ref=full.n_ref, indices=full.indices[run])
+    vals = smoothed_window_sums(ordinates.values, window, np.arange(len(grid)))
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
 
 
-def smoothed_window_sums(spectrum: np.ndarray, n_events: int, window: WeightWindow, starts):
-    """Window sums of the standardized ordinates |spectrum_j|^2 / n_events.
-
-    ``spectrum`` is the real FFT of the centered indicators; make it from
-    a temporary, as in ``np.fft.rfft(ind.centered())``, so the series dies
-    when the transform is made.  ``starts`` picks the windows by their
-    first Fourier index, a non-empty index array as returned by
-    :func:`~extspec.core.smoothing_window_starts`.  Only the span from the
-    first to the last window is squared and correlated, and a run of
-    starts (all admissible Fourier centers, say) returns all of it.
-    """
+def _standardized(spectrum: np.ndarray, n_events: int) -> np.ndarray:
+    """Standardized ordinates |spectrum_j|^2 / n_events at every index j of a real FFT."""
     if n_events < 1:
         raise DegenerateDataError("no tail events: smoothed periodogram undefined")
+    std = _power(spectrum, slice(None))
+    std /= n_events
+    return std
+
+
+def smoothed_window_sums(ordinates: np.ndarray, window: WeightWindow, starts) -> np.ndarray:
+    """Window sums of ``ordinates`` over the windows that begin at the indices ``starts``.
+
+    Only the span from the first to the last window is correlated, and a
+    run of starts (all admissible Fourier centers, say) returns all of it.
+    """
     lo = int(starts.min())
     hi = int(starts.max()) + window.weights.size
-    every = bool((np.diff(starts) == 1).all())
-    std = _power(spectrum, slice(lo, hi))
-    std /= n_events
-    sums = np.correlate(std, window.weights, mode="valid")
-    return sums if every else sums[starts - lo]
+    sums = np.correlate(ordinates[lo:hi], window.weights, mode="valid")
+    return sums if bool((np.diff(starts) == 1).all()) else sums[starts - lo]
 
 
 def smoothed_at_frequencies(
@@ -372,5 +359,7 @@ def smoothed_at_frequencies(
     """
     grid = FrequencyGrid.from_frequencies(np.atleast_1d(freqs))
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
-    vals = smoothed_window_sums(np.fft.rfft(ind.centered()), ind.n_events, window, starts)
+    # the series is a temporary: it dies when its transform is made
+    std = _standardized(np.fft.rfft(ind.centered()), ind.n_events)
+    vals = smoothed_window_sums(std, window, starts)
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")

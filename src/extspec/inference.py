@@ -26,6 +26,7 @@ from .core import (
 from .estimators import (
     SpectralEstimate,
     WeightWindow,
+    _standardized,
     smoothed_window_sums,
 )
 from .oracles import SpectralDensityOracle
@@ -87,6 +88,13 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     lo = min(max(lo, 1), replicates)
     hi = min(max(hi, lo), replicates)
     return lo, hi
+
+
+def _check_band(replicates: int, level: float, seed: int) -> tuple[int, int]:
+    """The permutation band's order statistics, after its arguments are checked."""
+    if seed < 0:
+        raise ParameterError("band seed must be a nonnegative integer")
+    return envelope_order_statistics(replicates, level)
 
 
 class _Rows:
@@ -173,9 +181,7 @@ def permutation_band(
     so the band equals that of the sorted B x T replicate matrix bit for
     bit.
     """
-    lo_k, hi_k = envelope_order_statistics(replicates, level)
-    if seed < 0:
-        raise ParameterError("band seed must be a nonnegative integer")
+    lo_k, hi_k = _check_band(replicates, level, seed)
     require_bytes(
         4 * lo_k * len(grid),
         f"{replicates} replicates at level {level} on {len(grid)} frequencies",
@@ -204,7 +210,7 @@ def permutation_band(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         # the permutation is a temporary: it dies when its transform is made
         curves[:] = smoothed_window_sums(
-            np.fft.rfft(rng.permutation(centered)), ind.n_events, window, starts
+            _standardized(np.fft.rfft(rng.permutation(centered)), ind.n_events), window, starts
         )
         np.negative(curves, out=negated)
         kept.push(both)

@@ -269,8 +269,11 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
     v = vol_rng.standard_normal(total)
     v *= spec.logvol_sd
     v = _first_order_filter(v, 0.0, a)
-    if v0 != 0.0:
-        v += v0 * a ** np.arange(1, total + 1)
+    if v0 != 0.0:  # the start's share v0 * a**t, built in one array
+        w = np.arange(1.0, total + 1)
+        np.power(a, w, out=w)
+        w *= v0
+        v += w
     np.exp(v, out=v)
     v *= z
     return require_finite(v[burnin:], _OVERFLOW)

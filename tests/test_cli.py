@@ -27,6 +27,7 @@ from extspec.cli import (
     read_series_csv,
 )
 from extspec import (
+    Arma11Spec,
     Band,
     InputError,
     Interval,
@@ -36,7 +37,16 @@ from extspec import (
     StudentT,
     UpperRay,
     cli,
+    daniell_window,
+    exceedance_indicators,
+    fourier_grid,
     inference,
+    permutation_band,
+    simulate_arma11,
+    smoothed_at_frequencies,
+    smoothed_curve,
+    surrogate_band,
+    threshold_from_quantile,
 )
 
 
@@ -438,6 +448,19 @@ class TestAnalyzeCommand:
         assert single_error(capsys).startswith("error: --level")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(["--replicates", 1], "need at least two replicates"),
+         (["--band-seed", -1], "band seed must be a nonnegative integer")],
+        ids=["replicates", "seed"],
+    )
+    def test_bad_band_flag_exit_2_before_reading(self, flag, message, tmp_path, capsys):
+        # the input does not exist: the permutation band's flags are checked before it is read
+        assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
+                    "--band", "permutation", *flag]) == 2
+        assert single_error(capsys) == "error: " + message
+        assert not (tmp_path / "o").exists()
+
     def test_no_tail_events_exit_3(self, sim_file, tmp_path, capsys):
         assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
                     "--tail-set", "upper:1e9"]) == 3
@@ -561,6 +584,52 @@ class TestAnalyzeCommand:
         assert run(["analyze", "--input", sim_file, "--out-dir", out, "--q", 0.95,
                     "--window", "daniell:10", "--grid", "linspace:0.5:2.5:9"]) == 0
         assert len(data_rows(out / "spectrum.csv")) == 9 + 1
+
+
+class TestAnalyzeAgreesWithLibrary:
+    """``analyze``'s spectrum columns are the library's values bit for bit.
+
+    The CSV cells are ``.17g`` text, so ``float`` reads each value back exactly.
+    """
+
+    @staticmethod
+    def _analyze(n, tmp_path, *flags):
+        x = simulate_arma11(Arma11Spec(phi=0.8, theta=0.1, noise=StudentT(3)), n, 5)
+        path = tmp_path / "x.csv"
+        _write_table(path, [], {"x": x}, header=False)
+        out = tmp_path / "o"
+        assert run(["analyze", "--input", path, "--out-dir", out, "--q", 0.95,
+                    "--window", "daniell:10", *flags]) == 0
+        ind = exceedance_indicators(x, UpperRay(1.0), threshold_from_quantile(x, 0.95))
+        return _table(out / "spectrum.csv"), ind, daniell_window(10)
+
+    @pytest.mark.parametrize("n", [4001, 4096])
+    @pytest.mark.parametrize("band", ["surrogate", "permutation"])
+    def test_fourier_grid(self, n, band, tmp_path):
+        table, ind, w = self._analyze(n, tmp_path, "--band", band,
+                                      "--replicates", 19, "--band-seed", 3)
+        curve = smoothed_curve(ind, w)
+        if band == "surrogate":
+            expected = surrogate_band(curve, w)
+        else:
+            expected = permutation_band(ind, w, curve.grid, 19, 3)
+        assert np.array_equal(table["lambda"], fourier_grid(n).freqs)
+        at = curve.grid.indices - 1  # the row of Fourier index j is j - 1
+        for key, values in (("smoothed", curve.values), ("lower", expected.lower),
+                            ("upper", expected.upper)):
+            assert np.array_equal(table[key][at], values)
+            assert np.isnan(np.delete(table[key], at)).all()
+
+    def test_list_grid(self, tmp_path):
+        freqs = [0.6, 1.2, 2.4]
+        table, ind, w = self._analyze(4096, tmp_path, "--grid", "list:0.6,1.2,2.4",
+                                      "--band", "permutation", "--replicates", 19,
+                                      "--band-seed", 3)
+        curve = smoothed_at_frequencies(ind, freqs, w)
+        band = permutation_band(ind, w, curve.grid, 19, 3)
+        assert np.array_equal(table["smoothed"], curve.values)
+        assert np.array_equal(table["lower"], band.lower)
+        assert np.array_equal(table["upper"], band.upper)
 
 
 class TestOracleCommand:

@@ -27,7 +27,6 @@ from extspec import (
     sample_noise,
     simulate_arma11,
     sine_cosine_transforms,
-    smooth_ordinates,
     smoothed_at_frequencies,
     smoothed_curve,
     standardized_periodogram,
@@ -35,7 +34,13 @@ from extspec import (
     threshold_from_quantile,
 )
 from extspec.core import smoothing_window_starts
-from extspec.estimators import WeightWindow, _lag_products, cosine_series, smoothed_window_sums
+from extspec.estimators import (
+    WeightWindow,
+    _lag_products,
+    _standardized,
+    cosine_series,
+    smoothed_window_sums,
+)
 from extspec.oracles import series_lag_for_accuracy
 
 
@@ -555,33 +560,21 @@ class TestSmoothedPeriodogram:
 
     def test_fourier_run_keeps_the_correlation(self):
         # on the admissible Fourier centers the windows start at lo, lo + 1, ...,
-        # so the sums are the correlation itself: the peak is the moduli and the
-        # sums, 2 x 8T bytes for T centers
+        # so the sums are the correlation itself, read from the ordinates in
+        # place: the peak is the sums and the start differences, 2 x 8T bytes
+        # for T centers
         n = 2**16
         ind = IndicatorSeries(np.random.default_rng(3).random(n) < 0.05)
         w = daniell_window(5)
         curve = smoothed_curve(ind, w)
         starts = smoothing_window_starts(curve.grid.freqs, n, w.half_width)
-        spectrum = np.fft.rfft(ind.centered())
-        sums = smoothed_window_sums(spectrum, ind.n_events, w, starts)
-        assert np.array_equal(sums, curve.values)
-        assert np.array_equal(
-            smoothed_window_sums(spectrum, ind.n_events, w, starts[1::2]), curve.values[1::2]
-        )
-        peak = traced_peak(lambda: smoothed_window_sums(spectrum, ind.n_events, w, starts))
+        std = _standardized(np.fft.rfft(ind.centered()), ind.n_events)
+        full = standardized_periodogram(ind, fourier_grid(n))
+        assert np.array_equal(std[full.grid.indices], full.values)
+        assert np.array_equal(smoothed_window_sums(std, w, starts), curve.values)
+        assert np.array_equal(smoothed_window_sums(std, w, starts[1::2]), curve.values[1::2])
+        peak = traced_peak(lambda: smoothed_window_sums(std, w, starts))
         assert peak < 2.5 * 8 * starts.size
-
-    def test_smooth_ordinates_needs_full_fourier_grid(self, make_indicators):
-        ind = random_indicators(make_indicators, np.random.default_rng(47), n=256)
-        w = daniell_window(3)
-        full = standardized_periodogram(ind, fourier_grid(256))
-        assert np.array_equal(smooth_ordinates(full, w).values, smoothed_curve(ind, w).values)
-        for bad in (
-            periodogram(ind, fourier_grid(256)),
-            standardized_periodogram(ind, FrequencyGrid.from_frequencies([0.5, 1.0, 1.5])),
-        ):
-            with pytest.raises(ParameterError, match="full Fourier grid"):
-                smooth_ordinates(bad, w)
 
     def test_nonnegative(self, make_indicators):
         rng = np.random.default_rng(43)

@@ -1,0 +1,31 @@
+import inspect
+
+import extspec
+
+# Every name ``import extspec`` exposes, submodules aside: a name added to or
+# dropped from the package's surface must be added or dropped here too.
+PUBLIC_NAMES = {
+    "Arma11Spec", "Band", "DegenerateDataError", "ExpDiagnostics", "Extremogram",
+    "FrequencyGrid", "IndicatorSeries", "InputError", "Interval", "LinearFilter", "LowerRay",
+    "MaxMaSpec", "ParameterError", "ParetoBalanced", "PredicateSet", "SineCosinePair",
+    "SingularFrequencyError", "SpectralDensityOracle", "SpectralEstimate", "StudentT", "SvSpec",
+    "TailIndexSpec", "Threshold", "UnsupportedCaseError", "UpperRay", "WeightWindow",
+    "arma11_extremogram_curve", "arma11_filter", "arma11_spectral_oracle", "as_series",
+    "canonical_m", "daniell_window", "default_burnin", "envelope_order_statistics",
+    "exceedance_indicators", "exponential_diagnostics", "extremogram_linear", "fourier_grid",
+    "lag_window_curve", "periodogram", "permutation_band", "sample_extremogram", "sample_noise",
+    "series_lag_for_accuracy", "simulate_arma11", "simulate_max_ma", "simulate_sv",
+    "sine_cosine_transforms", "smoothed_at_frequencies", "smoothed_curve",
+    "spectral_from_extremogram", "standardized_periodogram", "surrogate_band",
+    "tail_event_rate", "thin_grid", "threshold_from_quantile",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: importing extspec.cli binds ``cli`` on the package
+    names = {
+        name
+        for name, value in vars(extspec).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert names == PUBLIC_NAMES

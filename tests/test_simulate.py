@@ -232,6 +232,15 @@ def test_full_size_draws_are_the_scalar_loop(width, full_size_references, monkey
 
 
 class TestStochasticVolatility:
+    def test_peak_memory(self):
+        # the noise, the filter's input and its output, 24n, plus the lanes'
+        # tiles; the start term v0 * a**t then takes the input's place in one
+        # array (built from temporaries, it peaked at 32n)
+        n = 2**18
+        assert n // _lane_length(0.9) >= 24  # the lanes run, not the plain loop's lists
+        spec = SvSpec(logvol_ar=0.9, logvol_sd=0.5, noise=StudentT(3))
+        assert traced_peak(lambda: simulate_sv(spec, n, 1, burnin=0)) <= 26 * n
+
     def test_zero_volatility_equals_noise_exactly(self):
         spec = SvSpec(logvol_ar=0.9, logvol_sd=0.0, noise=StudentT(3))
         burnin = 200
