@@ -35,6 +35,7 @@ from .core import (
     fourier_grid,
     require_bytes,
     threshold_from_quantile,
+    two_product,
 )
 from .trigsums import SingularFrequencyError
 
@@ -271,15 +272,12 @@ def _row_chunks(columns):
 
 
 # .17g writes |v| in [1e-4, 1e17) as fixed-point text with 17 significant digits
-# d = round(|v| * 10**k), k = 16 - floor(log10|v|).  |v| * 2**k is exact, and so is
-# its product with 5**k as hi + lo (Dekker's product; 5**20 < 2**53).  A cell is one
+# d = round(|v| * 10**k), k = 16 - floor(log10|v|).  10**k = 2**k * 5**k is a double
+# (5**20 < 2**53), and |v| * 10**k is exact as hi + lo (Dekker's product).  A cell is one
 # 28-byte row: "0000", then d with a zero digit inserted k places from the right, as
 # 20 digits; the point takes byte 23 - k and the "0.000" of |v| < 1 is padding.  A
 # row keeps its text and separator; nan, +-0, +-inf are one word, the rest format().
-_POW5 = np.array([5**k for k in range(21)], dtype=float)
-_POW5_HI = _POW5 * 134217729.0 - (_POW5 * 134217729.0 - _POW5)  # Veltkamp split
-_POW5_LO = _POW5 - _POW5_HI
-_POW2 = 2.0 ** np.arange(21)
+_TENS = np.array([10**k for k in range(21)], dtype=float)
 _POW10 = 10 ** np.minimum(np.arange(21), 17)  # d < 10**17: no digit moves for k > 16
 _WORDS = (  # the ASCII bytes of 0000..9999, one uint32 each
     np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
@@ -301,12 +299,7 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> np.ndarray:
     good = (a >= 1e-4) & (a < 1e17)
     a[~good] = 1.0
     k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
-    a *= _POW2[k]
-    split = a * 134217729.0
-    ah = split - (split - a)
-    al = a - ah
-    hi = a * _POW5[k]
-    lo = ((ah * _POW5_HI[k] - hi) + ah * _POW5_LO[k] + al * _POW5_HI[k]) + al * _POW5_LO[k]
+    hi, lo = two_product(a, _TENS[k])
     # hi is an even integer, so rounding lo half-even rounds the sum half-even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # log10 can land a decade off near powers of ten: d then has 16 or 18 digits

@@ -55,6 +55,22 @@ def require_bytes(count: int, what: str) -> None:
         raise ParameterError(f"{what} need {8 * count} bytes, above the {MAX_BYTES}-byte limit")
 
 
+def two_product(a, b):
+    """``hi, lo`` with hi = fl(a*b) and hi + lo == a*b exactly; a and b may be arrays.
+
+    Dekker's product (Numer. Math. 18, 1971) on Veltkamp's split of each factor
+    into two 26-bit halves; exact unless a step overflows or underflows.
+    """
+    halves = []
+    for x in (a, b):
+        c = x * 134217729.0  # 2**27 + 1
+        h = c - (c - x)
+        halves += [h, x - h]
+    ah, al, bh, bl = halves
+    hi = a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
 # ---------------------------------------------------------------------------
 # Tail sets
 #

@@ -129,11 +129,16 @@ def daniell_window(s: int) -> WeightWindow:
     return WeightWindow(np.full(2 * s + 1, 1.0 / (2 * s + 1)))
 
 
+def _event_count(n_events: int) -> int:
+    """The event count that every tail estimator divides by; zero is degenerate."""
+    if n_events < 1:
+        raise DegenerateDataError("no tail events: the tail estimators are undefined")
+    return n_events
+
+
 def canonical_m(ind: IndicatorSeries) -> float:
     """The normalization n / (event count), under which the event rate is 1."""
-    if ind.n_events == 0:
-        raise DegenerateDataError("no tail events: canonical normalization undefined")
-    return ind.n / ind.n_events
+    return ind.n / _event_count(ind.n_events)
 
 
 def _resolve_m(ind: IndicatorSeries, m: float | None) -> float:
@@ -157,8 +162,7 @@ def sample_extremogram(ind: IndicatorSeries, max_lag: int) -> Extremogram:
     h steps later: sum_t I_t I_{t+h} / sum_t I_t, with rho(0) = 1.  This
     is the plug-in conditional probability; it stays in [0, 1].
     """
-    if ind.n_events < 1:
-        raise DegenerateDataError("no tail events: extremogram undefined")
+    _event_count(ind.n_events)
     if not 0 <= max_lag < ind.n:
         raise ParameterError("need 0 <= max_lag < n")
     rho = np.empty(max_lag + 1)
@@ -245,9 +249,7 @@ def standardized_periodogram(ind: IndicatorSeries, grid: FrequencyGrid) -> Spect
     Equals |sum_t (I_t - p0) e^(-i t lam)|^2 / sum_t I_t, the ratio in
     which the normalization cancels exactly.
     """
-    if ind.n_events < 1:
-        raise DegenerateDataError("no tail events: standardized periodogram undefined")
-    values = _squared_modulus(ind, grid) / ind.n_events
+    values = _squared_modulus(ind, grid) / _event_count(ind.n_events)
     return SpectralEstimate(grid=grid, values=values, kind="standardized_periodogram")
 
 
@@ -330,10 +332,8 @@ def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> Spect
 
 def _standardized(spectrum: np.ndarray, n_events: int) -> np.ndarray:
     """Standardized ordinates |spectrum_j|^2 / n_events at every index j of a real FFT."""
-    if n_events < 1:
-        raise DegenerateDataError("no tail events: smoothed periodogram undefined")
     std = _power(spectrum, slice(None))
-    std /= n_events
+    std /= _event_count(n_events)
     return std
 
 

@@ -202,21 +202,13 @@ def spectral_from_extremogram(rho) -> SpectralDensityOracle:
 
 
 def _arma11_case(phi: float, total: float, tail: TailIndexSpec) -> str:
-    if phi > 0 and total > 0:
-        if tail.upper_share == 0:
-            raise UnsupportedCaseError("phi > 0, phi+theta > 0 requires upper tail mass p > 0")
-        return "pos_pos"
-    if phi > 0 and total < 0:
-        if tail.lower_share == 0:
-            raise UnsupportedCaseError("phi > 0, phi+theta < 0 requires lower tail mass q > 0")
-        return "pos_neg"
-    if phi < 0 and total > 0:
-        if tail.upper_share == 0:
-            raise UnsupportedCaseError("phi < 0, phi+theta > 0 requires upper tail mass p > 0")
-        return "neg_pos"
-    if tail.upper_share == 0:
-        raise UnsupportedCaseError("phi < 0, phi+theta < 0 requires upper tail mass p > 0")
-    return "neg_neg"
+    """Sign case of (phi, phi+theta); pos_neg needs lower-tail noise, the others upper."""
+    case = ("pos" if phi > 0 else "neg") + ("_pos" if total > 0 else "_neg")
+    side, share = ("lower", "q") if case == "pos_neg" else ("upper", "p")
+    if (tail.lower_share if side == "lower" else tail.upper_share) == 0:
+        signs = f"phi {'>' if phi > 0 else '<'} 0, phi+theta {'>' if total > 0 else '<'} 0"
+        raise UnsupportedCaseError(f"{signs} requires {side} tail mass {share} > 0")
+    return case
 
 
 def _first_index_below_one(step: float, start: float) -> int:

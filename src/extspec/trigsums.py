@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, two_product
 
 SIN_EPS = 1e-8
 
@@ -72,21 +72,15 @@ def k_weighted_trig_sum(n: int, lam: float, flavor: str = "cos") -> float:
         raise ParameterError("need n >= 1")
     if n == 1:
         return 0.0
-    _checked_sin(lam / 2.0, "lam/2")
-    # The value grows like n / sin(lam/2) and the trig arguments like
-    # n*lam, so plain double evaluation loses ~n*eps absolute accuracy.
-    # Extended precision keeps the error near 1e-9 up to n ~ 1e5.
-    lam_e = np.longdouble(lam)
-    s = np.sin(lam_e / 2)
+    s = _checked_sin(lam / 2.0, "lam/2")
+    # The value grows like n / sin(lam/2) and the angles n*lam and (2n - 1)*lam/2
+    # like n, so rounding them would cost ~n*eps absolute accuracy.  Each angle is
+    # taken exactly as hi + lo, and trig(hi + lo) = trig(hi) +- lo trig'(hi) + O(lo^2).
+    hi, lo = two_product(np.array([n, 2 * n - 1], dtype=float), np.array([lam, lam / 2.0]))
+    (cos_n, cos_h), (sin_n, sin_h) = np.cos(hi) - lo * np.sin(hi), np.sin(hi) + lo * np.cos(hi)
     if trig is np.cos:
-        val = n * np.sin((2 * n - 1) * lam_e / 2) / (2 * s) - (
-            1 - np.cos(n * lam_e)
-        ) / (4 * s * s)
-    else:
-        val = np.sin(n * lam_e) / (4 * s * s) - n * np.cos(
-            (2 * n - 1) * lam_e / 2
-        ) / (2 * s)
-    return float(val)
+        return float(n * sin_h / (2 * s) - (1 - cos_n) / (4 * s * s))
+    return float(sin_n / (4 * s * s) - n * cos_h / (2 * s))
 
 
 def geometric_trig_sum(n: int | None, p: float, lam, flavor: str = "cos"):

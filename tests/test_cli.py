@@ -586,6 +586,20 @@ class TestAnalyzeCommand:
         assert len(data_rows(out / "spectrum.csv")) == 9 + 1
 
 
+@pytest.mark.parametrize("band, per_value", [("none", 44), ("surrogate", 52), ("permutation", 134)])
+def test_analyze_peak_memory(band, per_value, tmp_path):
+    # traced peak of the whole CSV pipeline at n = 2^16, measured at 40.9n, 48.3n and
+    # 129.9n bytes: a stage that keeps one more n-long array alive fails it
+    n = 2**16
+    path = tmp_path / "x.csv"
+    assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
+                "--n", n, "--seed", 1, "--out", path]) == 0
+    args = cli.build_parser().parse_args(
+        ["analyze", "--input", str(path), "--out-dir", str(tmp_path / "o"), "--band", band]
+    )
+    assert traced_peak(lambda: cli.run_analysis(args)) <= per_value * n
+
+
 class TestAnalyzeAgreesWithLibrary:
     """``analyze``'s spectrum columns are the library's values bit for bit.
 

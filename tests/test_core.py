@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from extspec import (
     simulate_arma11,
     threshold_from_quantile,
 )
-from extspec.core import smoothing_window_starts
+from extspec.core import smoothing_window_starts, two_product
 
 
 class TestThreshold:
@@ -241,3 +242,29 @@ class TestSmoothingGrid:
         with pytest.raises(ParameterError):
             smoothing_window_starts(0.3, 100, s_max + 1)
 
+
+def assert_exact_product(a, b):
+    hi, lo = two_product(a, b)
+    assert hi == a * b
+    assert Fraction(hi) + Fraction(lo) == Fraction(a) * Fraction(b)
+    # the array form gives the same bits
+    arr_hi, arr_lo = two_product(np.array([a, -a]), np.array([b, b]))
+    assert arr_hi.tolist() == [hi, -hi] and arr_lo.tolist() == [lo, -lo]
+
+
+class TestTwoProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.floats(1e-4, 1e17, exclude_max=True), k=st.integers(0, 20))
+    def test_exact_on_the_writer_operands(self, v, k):
+        # the CSV writer takes |v| times 10**k, the same exact product as |v| * 2**k times 5**k
+        assert_exact_product(v, float(10**k))
+        assert_exact_product(v * 2.0**k, float(5**k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 2**31 - 1),
+        lam=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    )
+    def test_exact_on_the_angle_products(self, k, lam):
+        # the k-weighted trigonometric sums take the angles k*lam
+        assert_exact_product(float(k), lam)

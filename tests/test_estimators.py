@@ -23,6 +23,7 @@ from extspec import (
     fourier_grid,
     lag_window_curve,
     periodogram,
+    permutation_band,
     sample_extremogram,
     sample_noise,
     simulate_arma11,
@@ -73,6 +74,28 @@ class TestEventRate:
         assert tail_event_rate(ind, m=5.0) == 0.0
         with pytest.raises(DegenerateDataError):
             canonical_m(ind)
+
+
+NO_EVENT_CALLERS = {
+    "sample_extremogram": lambda ind: sample_extremogram(ind, 2),
+    "standardized_periodogram": lambda ind: standardized_periodogram(ind, fourier_grid(ind.n)),
+    "periodogram": lambda ind: periodogram(ind, fourier_grid(ind.n)),
+    "tail_event_rate": tail_event_rate,
+    "lag_window_curve": lambda ind: lag_window_curve(ind, fourier_grid(ind.n), 2),
+    "smoothed_curve": lambda ind: smoothed_curve(ind, daniell_window(1)),
+    "smoothed_at_frequencies": lambda ind: smoothed_at_frequencies(ind, [1.5], daniell_window(1)),
+    "permutation_band": lambda ind: permutation_band(
+        ind, daniell_window(1), FrequencyGrid.from_frequencies([1.5]), 19, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NO_EVENT_CALLERS.values(), ids=NO_EVENT_CALLERS.keys())
+def test_no_tail_events_one_error(call, make_indicators):
+    # every estimator states the rule in the same words
+    with pytest.raises(DegenerateDataError) as exc:
+        call(make_indicators(np.zeros(64, dtype=bool)))
+    assert str(exc.value) == "no tail events: the tail estimators are undefined"
 
 
 class TestSampleExtremogram:

@@ -91,6 +91,31 @@ class TestKWeightedSums:
             assert k_weighted_trig_sum(n, lam, "cos") == pytest.approx(ref_cos, abs=1e-9)
             assert k_weighted_trig_sum(n, lam, "sin") == pytest.approx(ref_sin, abs=1e-9)
 
+    def test_independent_of_long_double_width(self, monkeypatch):
+        # the kernel runs in double with exact angles, so it keeps its accuracy and its
+        # bits where np.longdouble is a plain double; the reference is taken first
+        nmant = np.finfo(np.longdouble).nmant
+        if nmant < 63:
+            pytest.skip(f"np.longdouble has {nmant} mantissa bits; the reference sums need 63")
+        rng = np.random.default_rng(4411)
+        cases, refs = [], []
+        for _ in range(300):
+            n = max(1, int(math.exp(rng.uniform(0.0, math.log(10_000.0)))))
+            lam = float(rng.uniform(0.01, math.pi - 0.01))
+            k = np.arange(1, n)
+            kl = np.longdouble(lam) * k.astype(np.longdouble)
+            cases.append((n, lam))
+            refs += [float(np.sum(k * trig(kl), dtype=np.longdouble)) for trig in (np.cos, np.sin)]
+
+        def kernel():
+            return [k_weighted_trig_sum(n, lam, f) for n, lam in cases for f in ("cos", "sin")]
+
+        bits = kernel()
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        values = kernel()
+        assert max(abs(v - r) for v, r in zip(values, refs)) <= 1e-9
+        assert values == bits
+
     def test_bad_flavor(self):
         # the flavor is checked before any early return or singularity check
         calls = [
