@@ -251,7 +251,11 @@ class FrequencyGrid:
         if (self.n_ref is None) != (self.indices is None):
             raise ParameterError("fourier grids carry n_ref and integer indices")
         if self.fourier:
-            object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+            indices = np.asarray(self.indices, dtype=np.int64)
+            object.__setattr__(self, "indices", indices)
+            # fourier_grid's expression, so that each label is its ordinate's frequency
+            if not np.array_equal(2.0 * np.pi * indices / self.n_ref, freqs):
+                raise ParameterError("fourier grid frequencies must equal 2*pi*indices/n_ref")
 
     @property
     def fourier(self) -> bool:

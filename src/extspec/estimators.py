@@ -330,13 +330,6 @@ def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> Spect
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
 
 
-def _standardized(spectrum: np.ndarray, n_events: int) -> np.ndarray:
-    """Standardized ordinates |spectrum_j|^2 / n_events at every index j of a real FFT."""
-    std = _power(spectrum, slice(None))
-    std /= _event_count(n_events)
-    return std
-
-
 def smoothed_window_sums(ordinates: np.ndarray, window: WeightWindow, starts) -> np.ndarray:
     """Window sums of ``ordinates`` over the windows that begin at the indices ``starts``.
 
@@ -347,6 +340,13 @@ def smoothed_window_sums(ordinates: np.ndarray, window: WeightWindow, starts) ->
     hi = int(starts.max()) + window.weights.size
     sums = np.correlate(ordinates[lo:hi], window.weights, mode="valid")
     return sums if bool((np.diff(starts) == 1).all()) else sums[starts - lo]
+
+
+def _smoothed(spectrum: np.ndarray, n_events: int, window: WeightWindow, starts) -> np.ndarray:
+    """Window sums at ``starts`` of the ordinates |spectrum_j|^2 / n_events of a real FFT."""
+    spectrum = _power(spectrum, slice(None))  # rebound: the transform dies before the sums
+    spectrum /= _event_count(n_events)
+    return smoothed_window_sums(spectrum, window, starts)
 
 
 def smoothed_at_frequencies(
@@ -360,6 +360,5 @@ def smoothed_at_frequencies(
     grid = FrequencyGrid.from_frequencies(np.atleast_1d(freqs))
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
     # the series is a temporary: it dies when its transform is made
-    std = _standardized(np.fft.rfft(ind.centered()), ind.n_events)
-    vals = smoothed_window_sums(std, window, starts)
+    vals = _smoothed(np.fft.rfft(ind.centered()), ind.n_events, window, starts)
     return SpectralEstimate(grid=grid, values=vals, kind="smoothed")

@@ -23,12 +23,7 @@ from .core import (
     require_bytes,
     smoothing_window_starts,
 )
-from .estimators import (
-    SpectralEstimate,
-    WeightWindow,
-    _standardized,
-    smoothed_window_sums,
-)
+from .estimators import SpectralEstimate, WeightWindow, _smoothed
 from .oracles import SpectralDensityOracle
 
 
@@ -197,7 +192,6 @@ def permutation_band(
         )
 
     starts = smoothing_window_starts(grid.freqs, ind.n, window.half_width)
-    centered = ind.centered()
     # Each push holds a curve and then its negation: the lo smallest values
     # of the first half give the lower edge, and the B + 1 - hi <= lo
     # smallest of the second half, negated back (negation is exact), the
@@ -208,9 +202,9 @@ def permutation_band(
     curves, negated = both[:count], both[count:]
     for b in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        # the permutation is a temporary: it dies when its transform is made
-        curves[:] = smoothed_window_sums(
-            _standardized(np.fft.rfft(rng.permutation(centered)), ind.n_events), window, starts
+        # the centered series and its permutation die when the transform is made
+        curves[:] = _smoothed(
+            np.fft.rfft(rng.permutation(ind.centered())), ind.n_events, window, starts
         )
         np.negative(curves, out=negated)
         kept.push(both)

@@ -586,18 +586,51 @@ class TestAnalyzeCommand:
         assert len(data_rows(out / "spectrum.csv")) == 9 + 1
 
 
-@pytest.mark.parametrize("band, per_value", [("none", 44), ("surrogate", 52), ("permutation", 134)])
-def test_analyze_peak_memory(band, per_value, tmp_path):
-    # traced peak of the whole CSV pipeline at n = 2^16, measured at 40.9n, 48.3n and
-    # 129.9n bytes: a stage that keeps one more n-long array alive fails it
-    n = 2**16
+def _analyze_peak(tmp_path, n, *flags):
+    """Traced peak bytes of ``analyze`` on an ARMA(1,1) draw of n values."""
     path = tmp_path / "x.csv"
     assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
                 "--n", n, "--seed", 1, "--out", path]) == 0
     args = cli.build_parser().parse_args(
-        ["analyze", "--input", str(path), "--out-dir", str(tmp_path / "o"), "--band", band]
+        ["analyze", "--input", str(path), "--out-dir", str(tmp_path / "o"), *flags]
     )
-    assert traced_peak(lambda: cli.run_analysis(args)) <= per_value * n
+    return traced_peak(lambda: cli.run_analysis(args))
+
+
+@pytest.mark.parametrize("band, per_value", [("none", 44), ("surrogate", 52), ("permutation", 126)])
+def test_analyze_peak_memory(band, per_value, tmp_path):
+    # traced peak of the whole CSV pipeline at n = 2^16, measured at 40.9n, 48.3n and
+    # 121.9n bytes: a stage that keeps one more n-long array alive fails it
+    n = 2**16
+    assert _analyze_peak(tmp_path, n, "--band", band) <= per_value * n
+
+
+@pytest.mark.parametrize("band, per_value", [("none", 40), ("surrogate", 50), ("permutation", 126)])
+def test_analyze_json_peak_memory(band, per_value, tmp_path):
+    # the same with JSON output, measured at 36.4n, 46.6n and 121.8n bytes
+    n = 2**16
+    assert _analyze_peak(tmp_path, n, "--band", band, "--format", "json") <= per_value * n
+
+
+@pytest.mark.parametrize("model, flags, per_value", [
+    ("arma11", ["--phi", 0.8, "--theta", 0.1], 22),
+    ("sv", ["--logvol-ar", 0.8, "--logvol-sd", 0.5], 28),
+], ids=["arma11-22", "sv-28"])  # fmt: skip
+def test_simulate_peak_memory(model, flags, per_value, tmp_path):
+    # traced peak of the whole command at n = 2^16, measured at 19.9n and 26.1n bytes:
+    # the draw, the filter's lanes and the writer's chunks
+    n = 2**16
+    argv = ["simulate", model, *flags, "--n", n, "--seed", 1, "--out", tmp_path / "x.csv"]
+    assert traced_peak(lambda: run(argv)) <= per_value * n
+
+
+def test_oracle_peak_memory(tmp_path):
+    # traced peak of the whole command on K = 2^16 points, measured at 72.7-75.0 bytes
+    # a point: the closed form, the series check and the writer's chunks
+    k = 2**16
+    argv = ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
+            "--grid", f"linspace:0.001:3.14:{k}", "--out-dir", tmp_path / "o"]
+    assert traced_peak(lambda: run(argv)) <= 80 * k
 
 
 class TestAnalyzeAgreesWithLibrary:

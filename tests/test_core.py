@@ -181,6 +181,17 @@ class TestFourierGrid:
             with pytest.raises(ParameterError, match="n_ref and integer indices"):
                 FrequencyGrid(g.freqs, **partial)
 
+    def test_indices_must_give_the_frequencies(self):
+        # index 3 of n = 64 labelled 1.0 would report the ordinate at 2*pi*3/64 under 1.0,
+        # and index 40 lies past the last ordinate of a real transform of 64 values
+        f = fourier_grid(64).freqs
+        cases = [([1.0], [3]), ([1.0], [40]), (f[[2]], [[3]]), (f[:2], [1]), (f[:2], [1, 3])]
+        for freqs, indices in cases:
+            with pytest.raises(ParameterError, match="must equal 2\\*pi\\*indices/n_ref"):
+                FrequencyGrid(freqs, n_ref=64, indices=indices)
+        g = FrequencyGrid(f[2:5], n_ref=64, indices=[3, 4, 5])
+        assert g.fourier and g.indices.dtype == np.int64
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 500))
     def test_count_and_interior(self, n):

@@ -38,7 +38,7 @@ from extspec.core import smoothing_window_starts
 from extspec.estimators import (
     WeightWindow,
     _lag_products,
-    _standardized,
+    _power,
     cosine_series,
     smoothed_window_sums,
 )
@@ -591,7 +591,8 @@ class TestSmoothedPeriodogram:
         w = daniell_window(5)
         curve = smoothed_curve(ind, w)
         starts = smoothing_window_starts(curve.grid.freqs, n, w.half_width)
-        std = _standardized(np.fft.rfft(ind.centered()), ind.n_events)
+        std = _power(np.fft.rfft(ind.centered()), slice(None))
+        std /= ind.n_events
         full = standardized_periodogram(ind, fourier_grid(n))
         assert np.array_equal(std[full.grid.indices], full.values)
         assert np.array_equal(smoothed_window_sums(std, w, starts), curve.values)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extspec import ParameterError, SingularFrequencyError
+from extspec.core import two_product
 from extspec.trigsums import (
     cos_arith_sum,
     cross_lag_sum,
@@ -20,6 +21,19 @@ RNG = np.random.default_rng(1729)
 
 def random_freq():
     return float(RNG.uniform(0.01, math.pi - 0.01))
+
+
+def k_weighted_reference(n: int, lam: float) -> tuple[float, float]:
+    """Sums of k cos(k lam) and k sin(k lam), k = 1..n-1, in long double at exact angles.
+
+    Each angle k*lam is split exactly into hi + lo; cos(hi + lo) = cos hi - lo sin hi
+    and sin(hi + lo) = sin hi + lo cos hi then hold to within lo^2 / 2 (below 2e-24).
+    """
+    k = np.arange(1, n, dtype=float)
+    hi, lo = (np.asarray(v, dtype=np.longdouble) for v in two_product(k, lam))
+    cos, sin = np.cos(hi), np.sin(hi)
+    k = k.astype(np.longdouble)
+    return float(np.sum(k * (cos - lo * sin))), float(np.sum(k * (sin + lo * cos)))
 
 
 class TestArithmeticSums:
@@ -78,18 +92,15 @@ class TestKWeightedSums:
         assert k_weighted_trig_sum(1, 1.0, "sin") == 0.0
 
     def test_matches_direct_summation(self):
-        # the reference summation runs in extended precision: the sum
-        # grows like n/sin(lam/2), where double accumulation loses more
+        # the reference summation runs in extended precision at exact angles: the
+        # sum grows like n/sin(lam/2), where double accumulation loses more
         # accuracy than the closed form under test
         for _ in range(200):
             n = int(RNG.integers(1, 2001))
             lam = random_freq()
-            k = np.arange(1, n)
-            kl = np.longdouble(lam) * k.astype(np.longdouble)
-            ref_cos = float(np.sum(k * np.cos(kl), dtype=np.longdouble))
-            ref_sin = float(np.sum(k * np.sin(kl), dtype=np.longdouble))
-            assert k_weighted_trig_sum(n, lam, "cos") == pytest.approx(ref_cos, abs=1e-9)
-            assert k_weighted_trig_sum(n, lam, "sin") == pytest.approx(ref_sin, abs=1e-9)
+            ref_cos, ref_sin = k_weighted_reference(n, lam)
+            assert k_weighted_trig_sum(n, lam, "cos") == pytest.approx(ref_cos, abs=1e-10)
+            assert k_weighted_trig_sum(n, lam, "sin") == pytest.approx(ref_sin, abs=1e-10)
 
     def test_independent_of_long_double_width(self, monkeypatch):
         # the kernel runs in double with exact angles, so it keeps its accuracy and its
@@ -102,10 +113,8 @@ class TestKWeightedSums:
         for _ in range(300):
             n = max(1, int(math.exp(rng.uniform(0.0, math.log(10_000.0)))))
             lam = float(rng.uniform(0.01, math.pi - 0.01))
-            k = np.arange(1, n)
-            kl = np.longdouble(lam) * k.astype(np.longdouble)
             cases.append((n, lam))
-            refs += [float(np.sum(k * trig(kl), dtype=np.longdouble)) for trig in (np.cos, np.sin)]
+            refs += k_weighted_reference(n, lam)
 
         def kernel():
             return [k_weighted_trig_sum(n, lam, f) for n, lam in cases for f in ("cos", "sin")]
@@ -113,7 +122,7 @@ class TestKWeightedSums:
         bits = kernel()
         monkeypatch.setattr(np, "longdouble", np.float64)
         values = kernel()
-        assert max(abs(v - r) for v, r in zip(values, refs)) <= 1e-9
+        assert max(abs(v - r) for v, r in zip(values, refs)) <= 1e-10
         assert values == bits
 
     def test_bad_flavor(self):
