@@ -384,14 +384,7 @@ def run_analysis(args) -> dict:
     se = extrem.stderr()
 
     grid = parse_grid(args.grid, n)
-    raw = estimators.standardized_periodogram(ind, grid)
-
-    if grid.fourier and grid.n_ref == n:
-        curve = estimators.smooth_ordinates(raw, window)
-        rows = slice(window.half_width, window.half_width + len(curve.grid))
-    else:
-        curve = estimators.smoothed_at_frequencies(ind, grid.freqs, window)
-        rows = slice(None)
+    raw, curve, rows = estimators._spectrum(ind, grid, window)
     smoothed, lower, upper = np.full((3, len(grid)), np.nan)
     smoothed[rows] = curve.values
     band_info: dict = {"method": args.band}
@@ -404,6 +397,8 @@ def run_analysis(args) -> dict:
         band_info.update(replicates=args.replicates, seed=args.band_seed, level=args.level)
     if args.band != "none":
         lower[rows], upper[rows] = band.lower, band.upper
+        del band
+    del curve  # the columns hold the values: the curve, the band and their grid die here
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,8 +455,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.model != "arma11":
-        raise ParameterError("closed forms are available for the arma11 model only")
     tail = oracles.TailIndexSpec(alpha=args.alpha, upper_share=args.p)
     grid = parse_grid(args.grid, None)
 

@@ -310,24 +310,26 @@ def cosine_series(freqs, c0: float, coefs) -> np.ndarray:
 
 def smoothed_curve(ind: IndicatorSeries, window: WeightWindow) -> SpectralEstimate:
     """Smoothed standardized periodogram at every admissible Fourier frequency, from one FFT."""
-    return smooth_ordinates(standardized_periodogram(ind, fourier_grid(ind.n)), window)
+    return _spectrum(ind, fourier_grid(ind.n), window)[1]
 
 
-def smooth_ordinates(ordinates: SpectralEstimate, window: WeightWindow) -> SpectralEstimate:
-    """Window sums of the standardized periodogram on the full Fourier grid of n.
+def _spectrum(ind: IndicatorSeries, grid: FrequencyGrid, window: WeightWindow) -> tuple:
+    """The standardized periodogram on ``grid``, its smoothed values, and their rows of ``grid``.
 
-    The result lives on the admissible centers, the Fourier frequencies
-    whose full smoothing window stays inside (0, pi): rows s to len - s - 1
-    of the full grid.  ``analyze``, which holds the ordinates, smooths them
-    without a second FFT.
+    On the Fourier grid of n the ordinates are smoothed without a second
+    FFT, at the admissible centers whose full window stays inside (0, pi):
+    rows s to len - s - 1.  Any other grid is smoothed at every frequency.
     """
-    full, s = ordinates.grid, window.half_width
-    if len(full) < 2 * s + 1:
+    raw = standardized_periodogram(ind, grid)
+    if not (grid.fourier and grid.n_ref == ind.n):
+        return raw, smoothed_at_frequencies(ind, grid.freqs, window), slice(None)
+    s = window.half_width
+    if len(grid) < 2 * s + 1:
         raise ParameterError("series too short for this smoothing half-width")
-    run = slice(s, len(full) - s)
-    grid = FrequencyGrid(freqs=full.freqs[run], n_ref=full.n_ref, indices=full.indices[run])
-    vals = smoothed_window_sums(ordinates.values, window, np.arange(len(grid)))
-    return SpectralEstimate(grid=grid, values=vals, kind="smoothed")
+    rows = slice(s, len(grid) - s)
+    run = FrequencyGrid(freqs=grid.freqs[rows], n_ref=grid.n_ref, indices=grid.indices[rows])
+    vals = smoothed_window_sums(raw.values, window, np.arange(len(run)))
+    return raw, SpectralEstimate(grid=run, values=vals, kind="smoothed"), rows
 
 
 def smoothed_window_sums(ordinates: np.ndarray, window: WeightWindow, starts) -> np.ndarray:

@@ -19,7 +19,7 @@ from .core import ParameterError, require_bytes, require_finite
 from .oracles import TailIndexSpec, _check_arma11
 
 _OVERFLOW = "the model parameters overflow the floating-point range"
-_CHUNK = 2**16  # values per pass of the scalar filter loop
+_CHUNK = 2**12  # values per pass of the scalar filter loop: bounds its two Python lists
 _TILE = 64  # lockstep positions per copy of the lanes into a contiguous block
 _MIN_LANES = 24  # timed at 4-32 lanes, the lockstep overtook the scalar loop between 16 and 24
 

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import extspec
 
@@ -29,3 +31,20 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_library_code_never_prints():
+    # the command line front end alone writes to the terminal; the library reports
+    # through return values, exceptions and warnings
+    found = []
+    for path in sorted(Path(extspec.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "print":
+                    found.append(f"{path.name}:{node.lineno}: print()")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "sys" and node.attr in ("stdout", "stderr"):
+                    found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
+    assert not found
