@@ -456,13 +456,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     tail = oracles.TailIndexSpec(alpha=args.alpha, upper_share=args.p)
+    # the short lag curve first: a bad --max-lag fails before the grid costs anything
+    rho_closed = oracles.arma11_extremogram_curve(args.phi, args.theta, tail, args.max_lag).rho
     grid = parse_grid(args.grid, None)
 
     oracle = oracles.arma11_spectral_oracle(args.phi, args.theta, tail)
     density = oracle.evaluate(grid.freqs)
 
     series_h = oracles.series_lag_for_accuracy(args.phi, args.alpha, 1e-12)
-    rho_closed = oracles.arma11_extremogram_curve(args.phi, args.theta, tail, args.max_lag).rho
     filt = oracles.arma11_filter(args.phi, args.theta)
     series_rho = oracles.extremogram_linear(filt, tail, series_h)
     series_oracle = oracles.spectral_from_extremogram(series_rho)

@@ -217,8 +217,13 @@ def _power(spectrum: np.ndarray, indices) -> np.ndarray:
     return power
 
 
+def _on_fourier_grid(ind: IndicatorSeries, grid: FrequencyGrid) -> bool:
+    """Whether ``grid`` is the Fourier grid of the series: one FFT serves every ordinate."""
+    return grid.fourier and grid.n_ref == ind.n
+
+
 def _squared_modulus(ind: IndicatorSeries, grid: FrequencyGrid) -> np.ndarray:
-    if grid.fourier and grid.n_ref == ind.n:
+    if _on_fourier_grid(ind, grid):
         return _power(np.fft.rfft(ind.centered()), grid.indices)
     cos_sums, sin_sums = _direct_sums(ind.centered(), grid)
     return cos_sums**2 + sin_sums**2
@@ -321,7 +326,7 @@ def _spectrum(ind: IndicatorSeries, grid: FrequencyGrid, window: WeightWindow) -
     rows s to len - s - 1.  Any other grid is smoothed at every frequency.
     """
     raw = standardized_periodogram(ind, grid)
-    if not (grid.fourier and grid.n_ref == ind.n):
+    if not _on_fourier_grid(ind, grid):
         return raw, smoothed_at_frequencies(ind, grid.freqs, window), slice(None)
     s = window.half_width
     if len(grid) < 2 * s + 1:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DegenerateDataError, FrequencyGrid, ParameterError, require_bytes, require_finite
 from .estimators import Extremogram, cosine_series
-from .trigsums import cos_arith_sum, geometric_trig_sum
+from .trigsums import arith_trig_sum, geometric_trig_sum
 
 
 class UnsupportedCaseError(ParameterError):
@@ -198,7 +198,7 @@ def spectral_from_extremogram(rho) -> SpectralDensityOracle:
 # For h >= 1, rho(h) is a sum of geometric segments (start, count, step,
 # coef, ratio): each adds coef * ratio**k to rho(start + step*k) for
 # k = 0..count-1, or for all k >= 0 when count is None.  The sign case of
-# (phi, phi+theta) fixes the segments; every closed form reads them.
+# (phi, phi+theta) fixes the nonempty segments; every closed form reads them.
 
 
 def _arma11_case(phi: float, total: float, tail: TailIndexSpec) -> str:
@@ -280,7 +280,7 @@ def _arma11_segments(phi: float, theta: float, tail: TailIndexSpec) -> tuple[str
         [coef for _, _, _, coef, _ in segments],
         f"the closed form overflows for phi={phi!r}, theta={theta!r}, alpha={alpha!r}",
     )
-    return case, segments
+    return case, [seg for seg in segments if seg[1] != 0]
 
 
 def arma11_extremogram_curve(
@@ -300,6 +300,14 @@ def arma11_extremogram_curve(
     return Extremogram(rho=rho, n_events=0)
 
 
+def _segment_sum(freqs, start, count, step, ratio):
+    """sum_k ratio**k cos((start + k*step)*lam) at each lam; its arrays die on return."""
+    if ratio == 1.0:
+        return arith_trig_sum(count, start * freqs, step * freqs)[0]
+    g_cos, g_sin = geometric_trig_sum(count, ratio, step * freqs)
+    return np.cos(start * freqs) * g_cos - np.sin(start * freqs) * g_sin
+
+
 def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> SpectralDensityOracle:
     """Closed-form spectral density f = 1 + 2 sum_h rho(h) cos(h lam)."""
     case, segments = _arma11_segments(phi, theta, tail)
@@ -307,14 +315,7 @@ def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> Spe
     def fn(freqs: np.ndarray) -> np.ndarray:
         density = np.ones(freqs.shape)
         for start, count, step, coef, ratio in segments:
-            # sum_k ratio**k cos(x + k*dx) over the segment's terms
-            x, dx = start * freqs, step * freqs
-            if ratio == 1.0:
-                seg_sum = cos_arith_sum(count, x, dx)
-            else:
-                g_cos, g_sin = (geometric_trig_sum(count, ratio, dx, f) for f in ("cos", "sin"))
-                seg_sum = np.cos(x) * g_cos - np.sin(x) * g_sin
-            density += 2.0 * coef * seg_sum
+            density += 2.0 * coef * _segment_sum(freqs, start, count, step, ratio)
         return density
 
     return SpectralDensityOracle(fn=fn, provenance=f"arma11_closed({case})")

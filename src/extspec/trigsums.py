@@ -7,7 +7,9 @@ model and are tested head-to-head against direct summation.
 
 Conventions
 -----------
-* Empty sums return 0.0 so that callers can compose ranges without
+* Each kernel but ``cross_lag_sum`` returns its cosine and sine sums
+  together, as ``(cos_sum, sin_sum)``: the two share every factor.
+* Empty sums are 0.0 so that callers can compose ranges without
   case splits.
 * Frequencies whose denominator sine falls below ``SIN_EPS`` raise
   :class:`SingularFrequencyError` rather than silently losing accuracy;
@@ -38,82 +40,70 @@ def _checked_sin(x, what: str):
     return s
 
 
-def _trig(flavor: str):
-    """np.cos or np.sin for a flavor name; any other name is a ParameterError."""
-    if flavor not in ("cos", "sin"):
-        raise ParameterError(f"unknown flavor {flavor!r}")
-    return np.cos if flavor == "cos" else np.sin
-
-
-def _arith_sum(n: int, x, step, trig):
-    """Sum of trig(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
+def arith_trig_sum(n: int, x, step):
+    """Sums of cos(x + k*step) and sin(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
     if n < 0:
         raise ParameterError("number of terms must be nonnegative")
     if n == 0:
-        return 0.0
+        return 0.0, 0.0
     s = _checked_sin(step / 2.0, "step/2")
-    return trig(x + (n - 1) * step / 2.0) * np.sin(n * step / 2.0) / s
+    mid, half = x + (n - 1) * step / 2.0, np.sin(n * step / 2.0)
+    return np.cos(mid) * half / s, np.sin(mid) * half / s
 
 
-def cos_arith_sum(n: int, x, step):
-    """Sum of cos(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
-    return _arith_sum(n, x, step, np.cos)
-
-
-def sin_arith_sum(n: int, x, step):
-    """Sum of sin(x + k*step) for k = 0, ..., n-1; x and step may be arrays."""
-    return _arith_sum(n, x, step, np.sin)
-
-
-def k_weighted_trig_sum(n: int, lam: float, flavor: str = "cos") -> float:
-    """Sum of k*cos(k*lam) (or k*sin(k*lam)) for k = 1, ..., n-1."""
-    trig = _trig(flavor)
+def k_weighted_trig_sum(n: int, lam: float) -> tuple[float, float]:
+    """Sums of k*cos(k*lam) and k*sin(k*lam) for k = 1, ..., n-1."""
     if n < 1:
         raise ParameterError("need n >= 1")
     if n == 1:
-        return 0.0
+        return 0.0, 0.0
     s = _checked_sin(lam / 2.0, "lam/2")
     # The value grows like n / sin(lam/2) and the angles n*lam and (2n - 1)*lam/2
     # like n, so rounding them would cost ~n*eps absolute accuracy.  Each angle is
     # taken exactly as hi + lo, and trig(hi + lo) = trig(hi) +- lo trig'(hi) + O(lo^2).
     hi, lo = two_product(np.array([n, 2 * n - 1], dtype=float), np.array([lam, lam / 2.0]))
     (cos_n, cos_h), (sin_n, sin_h) = np.cos(hi) - lo * np.sin(hi), np.sin(hi) + lo * np.cos(hi)
-    if trig is np.cos:
-        return float(n * sin_h / (2 * s) - (1 - cos_n) / (4 * s * s))
-    return float(sin_n / (4 * s * s) - n * cos_h / (2 * s))
+    return (
+        float(n * sin_h / (2 * s) - (1 - cos_n) / (4 * s * s)),
+        float(sin_n / (4 * s * s) - n * cos_h / (2 * s)),
+    )
 
 
-def geometric_trig_sum(n: int | None, p: float, lam, flavor: str = "cos"):
-    """Geometrically damped trigonometric sum.
+def geometric_trig_sum(n: int | None, p: float, lam):
+    """Geometrically damped trigonometric sums, as (cos_sum, sin_sum).
 
-    For finite ``n`` returns sum of p^k*cos(k*lam) over k = 0, ..., n-1
-    (cos flavor) or p^k*sin(k*lam) over k = 1, ..., n-1 (sin flavor).
-    ``n=None`` evaluates the infinite series, which requires |p| < 1.
-    ``lam`` may be an array.
+    For finite ``n`` returns the sums of p^k*cos(k*lam) and p^k*sin(k*lam)
+    over k = 0, ..., n-1.  ``n=None`` evaluates the infinite series, which
+    requires |p| < 1.  ``lam`` may be an array.
     """
-    trig = _trig(flavor)
     if n is None:
         if abs(p) >= 1.0:
             raise ParameterError("infinite geometric trig sum requires |p| < 1")
     elif n < 0:
         raise ParameterError("number of terms must be nonnegative")
     elif n == 0:
-        return 0.0
-    denom = 1.0 - 2.0 * p * np.cos(lam) + p * p
+        return 0.0, 0.0
+    cos = np.cos(lam)
+    denom = 1.0 - 2.0 * p * cos + p * p
     if np.any(denom < 1e-14):
         raise SingularFrequencyError(
             f"geometric denominator 1 - 2p cos(lam) + p^2 = {np.min(denom):.3e} is singular"
         )
     # sum over k >= 0 of p^k e^(ik lam) = (1 - p e^(-i lam)) / denom
-    num = 1.0 - p * np.cos(lam) if trig is np.cos else p * np.sin(lam)
+    real = 1.0 - p * cos
+    del cos  # one grid-length array fewer while the sine part is made
+    imag = p * np.sin(lam)
     if n is not None:
         # less the terms k >= n: p^n e^(in lam) (1 - p e^(-i lam)) / denom
-        num = num - p**n * trig(n * lam) + p ** (n + 1) * trig((n - 1) * lam)
-    return num / denom
+        real = real - p**n * np.cos(n * lam) + p ** (n + 1) * np.cos((n - 1) * lam)
+        imag = imag - p**n * np.sin(n * lam) + p ** (n + 1) * np.sin((n - 1) * lam)
+    real /= denom
+    imag /= denom
+    return real, imag
 
 
-# product-to-sum signs of the (lam+omega, lam-omega) sums of each mixed kind
-_MIXED_KINDS = {"cs_cross": (np.sin, 1.0, -1.0), "cc": (np.cos, 1.0, 1.0), "ss": (np.cos, -1.0, 1.0)}
+# product-to-sum part (0 cos, 1 sin) and signs of the (lam+omega, lam-omega) sums of each mixed kind
+_MIXED_KINDS = {"cs_cross": (1, 1.0, -1.0), "cc": (0, 1.0, 1.0), "ss": (0, -1.0, 1.0)}
 
 
 def cross_lag_sum(n: int, h: int, lam: float, omega: float, kind: str) -> float:
@@ -136,32 +126,34 @@ def cross_lag_sum(n: int, h: int, lam: float, omega: float, kind: str) -> float:
         raise ParameterError(f"unknown kind {kind!r}")
     m = n - h
     if kind == "cs_same":  # each term is sin(lam*(2s+h))
-        return _arith_sum(m, lam * (h + 2), 2 * lam, np.sin)
+        return arith_trig_sum(m, lam * (h + 2), 2 * lam)[1]
     # each product is half a sum and difference at lam+omega and lam-omega,
     # shifted by omega*h in one product and by lam*h in the other
-    trig, sign_p, sign_m = _MIXED_KINDS[kind]
+    part, sign_p, sign_m = _MIXED_KINDS[kind]
     total = 0.0
     for freq, sign, shift in ((lam + omega, sign_p, omega * h), (lam - omega, sign_m, -omega * h)):
         for x in (freq + shift, freq + lam * h):
-            total += sign * _arith_sum(m, x, freq, trig)
+            total += sign * arith_trig_sum(m, x, freq)[part]
     return 0.5 * total
 
 
-def tail_weighted_trig_sum(n: int, r: int, lam: float, x: float, flavor: str = "cos") -> float:
-    """Sum of (n-h)*cos(lam*h + x) (or sine flavor) for h = r+1, ..., n-1.
+def tail_weighted_trig_sum(n: int, r: int, lam: float, x: float):
+    """Sums of (n-h)*cos(lam*h + x) and (n-h)*sin(lam*h + x) for h = r+1, ..., n-1.
 
     Composed from the arithmetic and k-weighted closed forms, so the
-    whole evaluation stays O(1).  The result is O(n / sin^2(lam/2))
+    whole evaluation stays O(1).  Each sum is O(n / sin^2(lam/2))
     uniformly in r and x.
     """
-    trig = _trig(flavor)
     if not 0 <= r <= n - 1:
         raise ParameterError("need 0 <= r <= n-1")
     if r == n - 1:
-        return 0.0
-    plain = _arith_sum(n - 1 - r, x + (r + 1) * lam, lam, trig)
+        return 0.0, 0.0
+    plain_cos, plain_sin = arith_trig_sum(n - 1 - r, x + (r + 1) * lam, lam)
     # h-weighted part, via prefix sums of k cos(k lam) and k sin(k lam) and
     # trig(lam*h + x) = trig(x) cos(lam*h) + trig(x + pi/2) sin(lam*h)
-    kc = k_weighted_trig_sum(n, lam, "cos") - k_weighted_trig_sum(r + 1, lam, "cos")
-    ks = k_weighted_trig_sum(n, lam, "sin") - k_weighted_trig_sum(r + 1, lam, "sin")
-    return n * plain - (trig(x) * kc + trig(x + math.pi / 2) * ks)
+    (kc_n, ks_n), (kc_r, ks_r) = k_weighted_trig_sum(n, lam), k_weighted_trig_sum(r + 1, lam)
+    kc, ks, shifted = kc_n - kc_r, ks_n - ks_r, x + math.pi / 2
+    return (
+        n * plain_cos - (np.cos(x) * kc + np.cos(shifted) * ks),
+        n * plain_sin - (np.sin(x) * kc + np.sin(shifted) * ks),
+    )

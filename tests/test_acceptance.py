@@ -45,10 +45,9 @@ def test_criterion_1_trig_kernel_equivalence():
         k = np.arange(n)
         kk = np.arange(1, n)
 
-        worst["a"] = max(worst["a"], abs(
-            ts.cos_arith_sum(n, x, lam) - float(np.cos(x + k * lam).sum())))
-        worst["b"] = max(worst["b"], abs(
-            ts.sin_arith_sum(n, x, lam) - float(np.sin(x + k * lam).sum())))
+        arith = ts.arith_trig_sum(n, x, lam)
+        worst["a"] = max(worst["a"], abs(arith[0] - float(np.cos(x + k * lam).sum())))
+        worst["b"] = max(worst["b"], abs(arith[1] - float(np.sin(x + k * lam).sum())))
 
         # the k-weighted sums grow like n/sin(lam/2); the reference
         # summation runs in extended precision so the comparison probes
@@ -56,13 +55,13 @@ def test_criterion_1_trig_kernel_equivalence():
         kl = np.longdouble(lam) * kk.astype(np.longdouble)
         bc = float(np.sum(kk * np.cos(kl), dtype=np.longdouble)) if n > 1 else 0.0
         bd = float(np.sum(kk * np.sin(kl), dtype=np.longdouble)) if n > 1 else 0.0
-        worst["c"] = max(worst["c"], abs(ts.k_weighted_trig_sum(n, lam, "cos") - bc))
-        worst["d"] = max(worst["d"], abs(ts.k_weighted_trig_sum(n, lam, "sin") - bd))
+        weighted = ts.k_weighted_trig_sum(n, lam)
+        worst["c"] = max(worst["c"], abs(weighted[0] - bc))
+        worst["d"] = max(worst["d"], abs(weighted[1] - bd))
 
-        worst["e2"] = max(worst["e2"], abs(
-            ts.geometric_trig_sum(n, p, lam, "cos") - float((p**k * np.cos(k * lam)).sum())))
-        worst["e1"] = max(worst["e1"], abs(
-            ts.geometric_trig_sum(n, p, lam, "sin") - float((p**kk * np.sin(kk * lam)).sum())))
+        geo = ts.geometric_trig_sum(n, p, lam)
+        worst["e2"] = max(worst["e2"], abs(geo[0] - float((p**k * np.cos(k * lam)).sum())))
+        worst["e1"] = max(worst["e1"], abs(geo[1] - float((p**kk * np.sin(kk * lam)).sum())))
 
         n2 = max(2, n)
         h = int(rng.integers(1, n2 + 1))
@@ -87,10 +86,11 @@ def test_criterion_1_trig_kernel_equivalence():
         hh = np.arange(r + 1, n2)
         dc = float(((n2 - hh) * np.cos(lam * hh + x)).sum())
         ds = float(((n2 - hh) * np.sin(lam * hh + x)).sum())
+        lemma = ts.tail_weighted_trig_sum(n2, r, lam, x)
         worst_lemma = max(
             worst_lemma,
-            abs(ts.tail_weighted_trig_sum(n2, r, lam, x, "cos") - dc) / (1e-7 * n2),
-            abs(ts.tail_weighted_trig_sum(n2, r, lam, x, "sin") - ds) / (1e-7 * n2),
+            abs(lemma[0] - dc) / (1e-7 * n2),
+            abs(lemma[1] - ds) / (1e-7 * n2),
         )
 
     elapsed = time.time() - t0

@@ -41,6 +41,7 @@ from extspec import (
     exceedance_indicators,
     fourier_grid,
     inference,
+    oracles,
     permutation_band,
     simulate_arma11,
     smoothed_at_frequencies,
@@ -575,9 +576,12 @@ class TestAnalyzeCommand:
             return rfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "f", "--q", 0.95,
-                    "--window", "daniell:10", "--band", "surrogate"]) == 0
-        assert len(calls) == 1
+        # off the Fourier grid of n the raw ordinates are direct sums: still one FFT
+        for grid in ("fourier", "linspace:0.5:2.5:9"):
+            calls.clear()
+            assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "f", "--q", 0.95,
+                        "--window", "daniell:10", "--band", "surrogate", "--grid", grid]) == 0
+            assert len(calls) == 1, grid
 
     def test_custom_grid_rows(self, sim_file, tmp_path):
         out = tmp_path / "g"
@@ -627,13 +631,15 @@ def test_simulate_peak_memory(model, flags, per_value, tmp_path):
     assert traced_peak(lambda: run(argv)) <= per_value * n
 
 
-def test_oracle_peak_memory(tmp_path):
-    # traced peak of the whole command on K = 2^16 points, measured at 72.7-75.0 bytes
-    # a point: the closed form, the series check and the writer's chunks
+@pytest.mark.parametrize("phi, theta", [(0.8, 0.1), (0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
+def test_oracle_peak_memory(phi, theta, tmp_path):
+    # traced peak of the whole command on K = 2^16 points, measured at 56.5-56.8 bytes a
+    # point in every sign case: the closed form, the series check and the writer's chunks.
+    # One more grid-length array alive (8 bytes a point) fails it
     k = 2**16
-    argv = ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
+    argv = ["oracle", "arma11", "--phi", phi, "--theta", theta, "--alpha", 3,
             "--grid", f"linspace:0.001:3.14:{k}", "--out-dir", tmp_path / "o"]
-    assert traced_peak(lambda: run(argv)) <= 80 * k
+    assert traced_peak(lambda: run(argv)) <= 62 * k
 
 
 class TestAnalyzeAgreesWithLibrary:
@@ -745,6 +751,18 @@ class TestOracleCommand:
         assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
                     "--grid", "list:", "--out-dir", tmp_path / "o"]) == 2
         assert "frequency grid is empty" in single_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_max_lag_exit_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # the lag curve is checked first: a bad --max-lag costs no pass over the grid
+        def evaluate(self, freqs):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(oracles.SpectralDensityOracle, "evaluate", evaluate)
+        assert run(["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3,
+                    "--grid", "linspace:0.001:3.14:65536", "--max-lag", -1,
+                    "--out-dir", tmp_path / "o"]) == 2
+        assert single_error(capsys) == "error: lag must be nonnegative"
         assert not (tmp_path / "o").exists()
 
     def test_unsupported_case_exit_2(self, tmp_path, capsys):

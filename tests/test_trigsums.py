@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from extspec import ParameterError, SingularFrequencyError
 from extspec.core import two_product
 from extspec.trigsums import (
-    cos_arith_sum,
+    arith_trig_sum,
     cross_lag_sum,
     geometric_trig_sum,
     k_weighted_trig_sum,
-    sin_arith_sum,
     tail_weighted_trig_sum,
 )
 
@@ -38,32 +37,28 @@ def k_weighted_reference(n: int, lam: float) -> tuple[float, float]:
 
 class TestArithmeticSums:
     def test_full_period_cancellation(self):
-        assert cos_arith_sum(4, 0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert arith_trig_sum(4, 0.0, math.pi / 2)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_term(self):
-        assert cos_arith_sum(1, 0.3, 1.1) == pytest.approx(math.cos(0.3), abs=1e-15)
-        assert sin_arith_sum(1, 0.3, 1.1) == pytest.approx(math.sin(0.3), abs=1e-15)
+        cos_sum, sin_sum = arith_trig_sum(1, 0.3, 1.1)
+        assert cos_sum == pytest.approx(math.cos(0.3), abs=1e-15)
+        assert sin_sum == pytest.approx(math.sin(0.3), abs=1e-15)
 
     def test_empty_sum(self):
-        assert cos_arith_sum(0, 1.0, 0.5) == 0.0
-        assert sin_arith_sum(0, 1.0, 0.5) == 0.0
+        assert arith_trig_sum(0, 1.0, 0.5) == (0.0, 0.0)
 
     def test_matches_direct_summation(self):
         for _ in range(200):
             n = int(RNG.integers(1, 2001))
             lam, x = random_freq(), float(RNG.uniform(-10, 10))
             k = np.arange(n)
-            assert cos_arith_sum(n, x, lam) == pytest.approx(
-                float(np.cos(x + k * lam).sum()), abs=1e-9
-            )
-            assert sin_arith_sum(n, x, lam) == pytest.approx(
-                float(np.sin(x + k * lam).sum()), abs=1e-9
-            )
+            cos_sum, sin_sum = arith_trig_sum(n, x, lam)
+            assert cos_sum == pytest.approx(float(np.cos(x + k * lam).sum()), abs=1e-9)
+            assert sin_sum == pytest.approx(float(np.sin(x + k * lam).sum()), abs=1e-9)
             lams = np.array([lam, 0.5 * lam, math.pi - lam])
-            for arith_sum in (cos_arith_sum, sin_arith_sum):
-                np.testing.assert_array_equal(
-                    arith_sum(n, x * lams, lams), [arith_sum(n, x * v, v) for v in lams]
-                )
+            pointwise = [arith_trig_sum(n, x * v, v) for v in lams]
+            for part, array_part in enumerate(arith_trig_sum(n, x * lams, lams)):
+                np.testing.assert_array_equal(array_part, [pair[part] for pair in pointwise])
 
     def test_fourier_full_period_sums_vanish(self):
         # sum over t = 1..n of cos/sin(lam*t) is zero at Fourier frequencies
@@ -72,24 +67,22 @@ class TestArithmeticSums:
                 lam = 2 * math.pi * j / n
                 if not 0 < lam < math.pi:
                     continue
-                assert cos_arith_sum(n, lam, lam) == pytest.approx(0.0, abs=1e-9)
-                assert sin_arith_sum(n, lam, lam) == pytest.approx(0.0, abs=1e-9)
+                assert arith_trig_sum(n, lam, lam) == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_singular_frequency(self):
         with pytest.raises(SingularFrequencyError):
-            cos_arith_sum(5, 0.0, 2 * math.pi)
+            arith_trig_sum(5, 0.0, 2 * math.pi)
         with pytest.raises(SingularFrequencyError):
-            cos_arith_sum(5, 0.0, np.array([1.0, 2 * math.pi]))
+            arith_trig_sum(5, 0.0, np.array([1.0, 2 * math.pi]))
 
 
 class TestKWeightedSums:
     def test_hand_value(self):
         # -1*1 + 2*1 at lam = pi
-        assert k_weighted_trig_sum(3, math.pi, "cos") == pytest.approx(1.0, abs=1e-12)
+        assert k_weighted_trig_sum(3, math.pi)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty(self):
-        assert k_weighted_trig_sum(1, 1.0, "cos") == 0.0
-        assert k_weighted_trig_sum(1, 1.0, "sin") == 0.0
+        assert k_weighted_trig_sum(1, 1.0) == (0.0, 0.0)
 
     def test_matches_direct_summation(self):
         # the reference summation runs in extended precision at exact angles: the
@@ -99,8 +92,9 @@ class TestKWeightedSums:
             n = int(RNG.integers(1, 2001))
             lam = random_freq()
             ref_cos, ref_sin = k_weighted_reference(n, lam)
-            assert k_weighted_trig_sum(n, lam, "cos") == pytest.approx(ref_cos, abs=1e-10)
-            assert k_weighted_trig_sum(n, lam, "sin") == pytest.approx(ref_sin, abs=1e-10)
+            cos_sum, sin_sum = k_weighted_trig_sum(n, lam)
+            assert cos_sum == pytest.approx(ref_cos, abs=1e-10)
+            assert sin_sum == pytest.approx(ref_sin, abs=1e-10)
 
     def test_independent_of_long_double_width(self, monkeypatch):
         # the kernel runs in double with exact angles, so it keeps its accuracy and its
@@ -117,7 +111,7 @@ class TestKWeightedSums:
             refs += k_weighted_reference(n, lam)
 
         def kernel():
-            return [k_weighted_trig_sum(n, lam, f) for n, lam in cases for f in ("cos", "sin")]
+            return [part for n, lam in cases for part in k_weighted_trig_sum(n, lam)]
 
         bits = kernel()
         monkeypatch.setattr(np, "longdouble", np.float64)
@@ -125,33 +119,20 @@ class TestKWeightedSums:
         assert max(abs(v - r) for v, r in zip(values, refs)) <= 1e-10
         assert values == bits
 
-    def test_bad_flavor(self):
-        # the flavor is checked before any early return or singularity check
-        calls = [
-            lambda: k_weighted_trig_sum(5, 1.0, "tan"),
-            lambda: k_weighted_trig_sum(1, 1.0, "tan"),
-            lambda: geometric_trig_sum(0, 0.5, 1.0, "tan"),
-            lambda: geometric_trig_sum(3, 1.0, 0.0, "tan"),
-            lambda: tail_weighted_trig_sum(10, 9, 1.0, 0.2, "tan"),
-        ]
-        for call in calls:
-            with pytest.raises(ParameterError, match="unknown flavor"):
-                call()
-
 
 class TestGeometricSums:
     def test_zero_ratio(self):
         for n in (1, 3, None):
-            assert geometric_trig_sum(n, 0.0, 1.3, "cos") == pytest.approx(1.0, abs=1e-15)
+            assert geometric_trig_sum(n, 0.0, 1.3)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_alternating_series(self):
         # sum of (-1/2)^k = 2/3
-        assert geometric_trig_sum(None, 0.5, math.pi, "cos") == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert geometric_trig_sum(None, 0.5, math.pi)[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_near_one_ratio(self):
         n, p, lam = 50, 0.9, 1.3
         k = np.arange(n)
-        assert geometric_trig_sum(n, p, lam, "cos") == pytest.approx(
+        assert geometric_trig_sum(n, p, lam)[0] == pytest.approx(
             float((p**k * np.cos(k * lam)).sum()), abs=1e-12
         )
 
@@ -162,25 +143,20 @@ class TestGeometricSums:
             lam = random_freq()
             k = np.arange(n)
             kk = np.arange(1, n)
-            assert geometric_trig_sum(n, p, lam, "cos") == pytest.approx(
-                float((p**k * np.cos(k * lam)).sum()), abs=1e-10
-            )
-            assert geometric_trig_sum(n, p, lam, "sin") == pytest.approx(
-                float((p**kk * np.sin(kk * lam)).sum()), abs=1e-10
-            )
+            cos_sum, sin_sum = geometric_trig_sum(n, p, lam)
+            assert cos_sum == pytest.approx(float((p**k * np.cos(k * lam)).sum()), abs=1e-10)
+            assert sin_sum == pytest.approx(float((p**kk * np.sin(kk * lam)).sum()), abs=1e-10)
             lams = np.array([lam, 0.5 * lam, math.pi - lam])
             for count in (n, None):
-                for flavor in ("cos", "sin"):
-                    np.testing.assert_array_equal(
-                        geometric_trig_sum(count, p, lams, flavor),
-                        [geometric_trig_sum(count, p, v, flavor) for v in lams],
-                    )
+                pointwise = [geometric_trig_sum(count, p, v) for v in lams]
+                for part, array_part in enumerate(geometric_trig_sum(count, p, lams)):
+                    np.testing.assert_array_equal(array_part, [pair[part] for pair in pointwise])
         with pytest.raises(SingularFrequencyError):
-            geometric_trig_sum(5, 1.0, np.array([1.0, 0.0]), "cos")
+            geometric_trig_sum(5, 1.0, np.array([1.0, 0.0]))
 
     def test_divergent_infinite_sum(self):
         with pytest.raises(ParameterError):
-            geometric_trig_sum(None, 1.0, 1.0, "cos")
+            geometric_trig_sum(None, 1.0, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -189,8 +165,8 @@ class TestGeometricSums:
         lam=st.floats(0.05, math.pi - 0.05),
     )
     def test_finite_approaches_infinite(self, n, p, lam):
-        fin = geometric_trig_sum(n, p, lam, "cos")
-        inf = geometric_trig_sum(None, p, lam, "cos")
+        fin = geometric_trig_sum(n, p, lam)[0]
+        inf = geometric_trig_sum(None, p, lam)[0]
         assert abs(fin - inf) <= abs(p) ** n / (1 - abs(p)) ** 2 + 1e-12
 
 
@@ -243,7 +219,7 @@ class TestCrossLagSums:
 
 class TestTailWeightedSums:
     def test_empty(self):
-        assert tail_weighted_trig_sum(10, 9, 1.0, 0.2, "cos") == 0.0
+        assert tail_weighted_trig_sum(10, 9, 1.0, 0.2) == (0.0, 0.0)
 
     def test_matches_direct_summation(self):
         for _ in range(150):
@@ -254,12 +230,9 @@ class TestTailWeightedSums:
             h = np.arange(r + 1, n)
             dc = float(((n - h) * np.cos(lam * h + x)).sum())
             ds = float(((n - h) * np.sin(lam * h + x)).sum())
-            assert tail_weighted_trig_sum(n, r, lam, x, "cos") == pytest.approx(
-                dc, abs=1e-7 * n
-            )
-            assert tail_weighted_trig_sum(n, r, lam, x, "sin") == pytest.approx(
-                ds, abs=1e-7 * n
-            )
+            cos_sum, sin_sum = tail_weighted_trig_sum(n, r, lam, x)
+            assert cos_sum == pytest.approx(dc, abs=1e-7 * n)
+            assert sin_sum == pytest.approx(ds, abs=1e-7 * n)
 
     def test_uniform_envelope(self):
         # the sum stays O(n / sin^2(lam/2)) whatever r and x are
@@ -269,11 +242,12 @@ class TestTailWeightedSums:
             lam = random_freq()
             x = float(RNG.uniform(-10, 10))
             bound = 3.0 * n / math.sin(lam / 2.0) ** 2
-            assert abs(tail_weighted_trig_sum(n, r, lam, x, "cos")) <= bound
-            assert abs(tail_weighted_trig_sum(n, r, lam, x, "sin")) <= bound
+            cos_sum, sin_sum = tail_weighted_trig_sum(n, r, lam, x)
+            assert abs(cos_sum) <= bound
+            assert abs(sin_sum) <= bound
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
-            tail_weighted_trig_sum(10, 10, 1.0, 0.0, "cos")
+            tail_weighted_trig_sum(10, 10, 1.0, 0.0)
         with pytest.raises(ParameterError):
-            tail_weighted_trig_sum(10, -1, 1.0, 0.0, "cos")
+            tail_weighted_trig_sum(10, -1, 1.0, 0.0)
