@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,17 +94,12 @@ def parse_window(text: str) -> estimators.WeightWindow:
     raise ParameterError(f"bad window {text!r}: expected daniell:S or custom:w1,w2,...")
 
 
-def parse_grid(text: str, n: int | None) -> FrequencyGrid:
-    """``fourier``, ``fourier:N``, ``linspace:A:B:K`` or ``list:l1,l2,...``."""
+def parse_grid(text: str) -> FrequencyGrid:
+    """``fourier:N``, ``linspace:A:B:K`` or ``list:l1,l2,...`` (bare ``fourier`` needs a series)."""
     parts = text.split(":")
     try:
-        if parts[0] == "fourier":
-            if len(parts) == 1:
-                if n is None:
-                    raise ParameterError("fourier grid needs a series length")
-                return fourier_grid(n)
-            if len(parts) == 2:
-                return fourier_grid(int(parts[1]))
+        if parts[0] == "fourier" and len(parts) == 2:
+            return fourier_grid(int(parts[1]))
         if parts[0] == "linspace" and len(parts) == 4:
             a, b, k = float(parts[1]), float(parts[2]), int(parts[3])
             require_bytes(k, f"{k} grid points")
@@ -115,6 +109,8 @@ def parse_grid(text: str, n: int | None) -> FrequencyGrid:
             return FrequencyGrid.from_frequencies(vals)
     except ValueError as exc:
         raise ParameterError(f"bad grid {text!r}: {exc}") from exc
+    if text == "fourier":
+        raise ParameterError(f"bad grid {text!r}: fourier grid needs a series length")
     raise ParameterError(
         f"bad grid {text!r}: expected fourier[:N], linspace:A:B:K or list:l1,l2,..."
     )
@@ -124,20 +120,19 @@ def read_series_csv(path) -> np.ndarray:
     """Read a one-column CSV: ``#`` comments, one optional header row, an optional BOM.
 
     After the leading comment and header lines, numpy parses the rest in
-    one call.  Input that numpy rejects, warns about or reads as non-finite
-    is read again by the line reader, whose errors name the line.
+    one call.  Input that numpy rejects or reads as non-finite is read
+    again by the line reader, whose errors name the line.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
     try:
-        with path.open(encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with path.open(encoding="utf-8-sig") as fh:
             if _skip_to_data(fh):
                 x = np.loadtxt(fh, delimiter=",", usecols=0, comments=None, ndmin=1)
                 if np.isfinite(x).all():
                     return x
-    except (ValueError, Warning):
+    except ValueError:
         pass
     return _read_series_lines(path)
 
@@ -368,6 +363,8 @@ def run_analysis(args) -> dict:
         inference._check_band(args.replicates, args.level, args.band_seed)
     tail_set = parse_tail_set(args.tail_set)
     window = parse_window(args.window)
+    # every grid but the series' own Fourier grid is parsed before the read
+    grid = None if args.grid == "fourier" else parse_grid(args.grid)
     x = read_series_csv(args.input)
     n = x.size
     thr = threshold_from_quantile(x, args.q)
@@ -383,7 +380,8 @@ def run_analysis(args) -> dict:
     extrem = estimators.sample_extremogram(ind, max_lag)
     se = extrem.stderr()
 
-    grid = parse_grid(args.grid, n)
+    if grid is None:
+        grid = fourier_grid(n)
     raw, curve, rows = estimators._spectrum(ind, grid, window)
     smoothed, lower, upper = np.full((3, len(grid)), np.nan)
     smoothed[rows] = curve.values
@@ -458,7 +456,7 @@ def cmd_oracle(args) -> int:
     tail = oracles.TailIndexSpec(alpha=args.alpha, upper_share=args.p)
     # the short lag curve first: a bad --max-lag fails before the grid costs anything
     rho_closed = oracles.arma11_extremogram_curve(args.phi, args.theta, tail, args.max_lag).rho
-    grid = parse_grid(args.grid, None)
+    grid = parse_grid(args.grid)
 
     oracle = oracles.arma11_spectral_oracle(args.phi, args.theta, tail)
     density = oracle.evaluate(grid.freqs)

@@ -325,9 +325,10 @@ def _spectrum(ind: IndicatorSeries, grid: FrequencyGrid, window: WeightWindow) -
     FFT, at the admissible centers whose full window stays inside (0, pi):
     rows s to len - s - 1.  Any other grid is smoothed at every frequency.
     """
+    if not _on_fourier_grid(ind, grid):  # a window that leaves (0, pi) fails before the sums
+        curve = smoothed_at_frequencies(ind, grid.freqs, window)
+        return standardized_periodogram(ind, grid), curve, slice(None)
     raw = standardized_periodogram(ind, grid)
-    if not _on_fourier_grid(ind, grid):
-        return raw, smoothed_at_frequencies(ind, grid.freqs, window), slice(None)
     s = window.half_width
     if len(grid) < 2 * s + 1:
         raise ParameterError("series too short for this smoothing half-width")

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from extspec import IndicatorSeries
+from extspec.core import two_product
 
 
 def traced_peak(fn) -> int:
@@ -14,6 +16,21 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def exact_angle_sums(weights, lam: float) -> tuple[float, float]:
+    """Sums of w_k cos(k lam) and w_k sin(k lam), k = 1..len(weights), at exact angles.
+
+    Each angle k*lam splits exactly into hi + lo (Dekker's product), so
+    cos(k lam) = cos hi - lo sin hi and sin(k lam) = sin hi + lo cos hi hold
+    to within lo**2 / 2, below 2e-24 for k*lam < 2**15; math.fsum adds the
+    terms with one rounding.  Plain double throughout: no platform's long
+    double changes the reference.
+    """
+    w = np.asarray(weights, dtype=float)
+    hi, lo = two_product(np.arange(1.0, w.size + 1), lam)
+    cos, sin = np.cos(hi), np.sin(hi)
+    return math.fsum((w * (cos - lo * sin)).tolist()), math.fsum((w * (sin + lo * cos)).tolist())
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import math
 import time
 
 import numpy as np
-import pytest
+from conftest import exact_angle_sums
 
 import extspec as es
 from extspec import trigsums as ts
@@ -27,10 +27,6 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_trig_kernel_equivalence():
     """Closed trigonometric forms match direct summation at 1e-8."""
-    # the k-weighted reference sums below need an extended-precision long double
-    nmant = np.finfo(np.longdouble).nmant
-    if nmant < 63:
-        pytest.skip(f"np.longdouble has {nmant} mantissa bits; the reference sums need 63")
     rng = np.random.default_rng(20240601)
     t0 = time.time()
     worst = {k: 0.0 for k in
@@ -49,12 +45,10 @@ def test_criterion_1_trig_kernel_equivalence():
         worst["a"] = max(worst["a"], abs(arith[0] - float(np.cos(x + k * lam).sum())))
         worst["b"] = max(worst["b"], abs(arith[1] - float(np.sin(x + k * lam).sum())))
 
-        # the k-weighted sums grow like n/sin(lam/2); the reference
-        # summation runs in extended precision so the comparison probes
-        # the closed form, not the reference
-        kl = np.longdouble(lam) * kk.astype(np.longdouble)
-        bc = float(np.sum(kk * np.cos(kl), dtype=np.longdouble)) if n > 1 else 0.0
-        bd = float(np.sum(kk * np.sin(kl), dtype=np.longdouble)) if n > 1 else 0.0
+        # the k-weighted sums grow like n/sin(lam/2); the reference sums
+        # exact angles with one rounding, so the comparison probes the
+        # closed form, not the reference
+        bc, bd = exact_angle_sums(kk, lam)
         weighted = ts.k_weighted_trig_sum(n, lam)
         worst["c"] = max(worst["c"], abs(weighted[0] - bc))
         worst["d"] = max(worst["d"], abs(weighted[1] - bd))

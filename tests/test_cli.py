@@ -38,6 +38,7 @@ from extspec import (
     UpperRay,
     cli,
     daniell_window,
+    estimators,
     exceedance_indicators,
     fourier_grid,
     inference,
@@ -95,14 +96,14 @@ class TestParsers:
             parse_window("custom:1,2")
 
     def test_grids(self):
-        g = parse_grid("fourier:16", None)
+        g = parse_grid("fourier:16")
         assert len(g) == 7
-        g = parse_grid("linspace:0.1:3.0:11", None)
+        g = parse_grid("linspace:0.1:3.0:11")
         assert len(g) == 11
-        g = parse_grid("list:0.5,1.0,2.0", None)
+        g = parse_grid("list:0.5,1.0,2.0")
         assert np.allclose(g.freqs, [0.5, 1.0, 2.0])
         with pytest.raises(ParameterError):
-            parse_grid("mesh:1", None)
+            parse_grid("mesh:1")
 
 
 class TestReadSeries:
@@ -460,6 +461,29 @@ class TestAnalyzeCommand:
         assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
                     "--band", "permutation", *flag]) == 2
         assert single_error(capsys) == "error: " + message
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_grid_exit_2_before_reading(self, tmp_path, capsys):
+        # the input does not exist: a grid that needs no series length is parsed before the read
+        assert run(["analyze", "--input", tmp_path / "missing.csv", "--out-dir", tmp_path / "o",
+                    "--grid", "linspace:1:2"]) == 2
+        assert single_error(capsys).startswith("error: bad grid")
+        assert not (tmp_path / "o").exists()
+
+    def test_window_leaving_0_pi_exit_2_before_the_direct_sums(
+        self, sim_file, tmp_path, capsys, monkeypatch
+    ):
+        # off the Fourier grid of n the smoothed values come first: a window that
+        # leaves (0, pi) costs none of the O(n)-per-frequency direct sums
+        def no_direct_sums(*args):
+            raise AssertionError("the direct sums ran")
+
+        monkeypatch.setattr(estimators, "_direct_sums", no_direct_sums)
+        assert run(["analyze", "--input", sim_file, "--out-dir", tmp_path / "o",
+                    "--grid", "list:0.0001"]) == 2
+        assert single_error(capsys).startswith(
+            "error: smoothing window of half-width 50 around frequency 0.0001 leaves (0, pi)"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_no_tail_events_exit_3(self, sim_file, tmp_path, capsys):

@@ -238,6 +238,15 @@ class TestSmoothingGrid:
         g = fourier_grid(n)
         assert np.array_equal(smoothing_window_starts(g.freqs, n, 0), g.indices)
 
+    @pytest.mark.parametrize("n", [2**28, 2**28 - 1])
+    def test_sampled_fourier_frequencies_map_to_their_own_index(self, n):
+        # core.MAX_BYTES admits Fourier grids up to n ~ 2**28: both ends and 10**5
+        # random indices, with frequencies made as fourier_grid makes them
+        jmax = (n + 1) // 2 - 1
+        j = np.random.default_rng(n).integers(1, jmax + 1, 10**5)
+        j = np.concatenate([[1, jmax], j])
+        assert np.array_equal(smoothing_window_starts(2.0 * np.pi * j / n, n, 0), j)
+
     def test_window_starts_reject_first_bad_target(self):
         with pytest.raises(ParameterError, match="around frequency 0.05 leaves"):
             smoothing_window_starts([1.0, 0.05, 4.0], 100, 2)

@@ -1,9 +1,10 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import exact_angle_sums, traced_peak
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -431,14 +432,6 @@ class TestLagWindow:
         assert got[0] == pytest.approx(oracle[0], abs=0.25)
 
 
-def long_double_series(freqs, c0, coefs):
-    """The reference: the direct sum c0 + 2 sum_h coefs[h-1] cos(h*lam) in long double."""
-    h = np.arange(1, len(coefs) + 1, dtype=np.longdouble)
-    c = np.asarray(coefs, dtype=np.longdouble)
-    return np.array([np.longdouble(c0) + 2 * np.dot(c, np.cos(np.longdouble(lam) * h))
-                     for lam in freqs])
-
-
 class TestCosineSeries:
     @given(
         k=st.integers(0, 20),
@@ -447,7 +440,7 @@ class TestCosineSeries:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_a_long_double_direct_sum(self, k, h, c0, seed):
+    def test_matches_an_exact_angle_direct_sum(self, k, h, c0, seed):
         # the recurrence is worst at the ends of (0, pi), so they are always tested
         rng = np.random.default_rng(seed)
         freqs = np.concatenate([rng.uniform(0.0, math.pi, k), [0.0, 1e-3, math.pi - 1e-3, math.pi]])
@@ -455,7 +448,8 @@ class TestCosineSeries:
         got = cosine_series(freqs, c0, coefs)
         scale = abs(c0) + 2.0 * np.abs(coefs).sum()
         assert got.shape == freqs.shape
-        assert np.all(np.abs(got - long_double_series(freqs, c0, coefs)) <= 1e-11 * scale)
+        want = [c0 + 2.0 * exact_angle_sums(coefs, lam)[0] for lam in freqs]
+        assert np.all(np.abs(got - want) <= 1e-11 * scale)
 
     @given(
         k=st.integers(1, 200),
@@ -489,12 +483,16 @@ class TestCosineSeries:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_small_alpha_geometric_series_within_1e_10(self, alpha):
-        # rho(h) = 0.8**(alpha h) to the oracle's series depth, H = 12,383 and 123,827;
-        # at lam = 0.001 the density is near its peak, at 3.14 near its floor
+        # rho(h) = r**h, r = 0.8**alpha, to the oracle's series depth, H = 12,383 and
+        # 123,827; at lam = 0.001 the density is near its peak, at 3.14 near its floor.
+        # A term-by-term reference over H lags keeps too little margin under the bar,
+        # so the reference is the closed form 1 + 2 Re[z (1 - z**H) / (1 - z)], z = r e^(i lam)
         depth = series_lag_for_accuracy(0.8, alpha, 1e-12)
-        coefs = (0.8**alpha) ** np.arange(1, depth + 1)
+        r = 0.8**alpha
+        coefs = r ** np.arange(1, depth + 1)
         freqs = np.array([0.001, 3.14])
-        want = long_double_series(freqs, 1.0, coefs)
+        z = [cmath.rect(r, lam) for lam in freqs]
+        want = np.array([1.0 + 2.0 * (w * (1 - w**depth) / (1 - w)).real for w in z])
         rel = np.abs((cosine_series(freqs, 1.0, coefs) - want) / want)
         assert np.all(rel <= 1e-10), rel
 

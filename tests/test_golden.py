@@ -4,7 +4,8 @@ Each case runs one command in a fresh directory and compares every file it
 writes with the file of the same name under ``tests/golden/<case>``.  The
 injected values cover the text forms a writer can get wrong: ``nan``,
 ``-0.0``, the smallest subnormal, values near the largest double and
-infinities, plus integer lags and JSON ``null``.
+infinities, plus integer lags and JSON ``null``.  The golden bytes were
+checked on numpy 2.4.6.
 """
 
 import math

@@ -48,3 +48,25 @@ def test_library_code_never_prints():
                 if node.value.id == "sys" and node.attr in ("stdout", "stderr"):
                     found.append(f"{path.name}:{node.lineno}: sys.{node.attr}")
     assert not found
+
+
+def test_library_code_never_names_long_double():
+    # np.longdouble is a plain double on Windows and macOS arm64 and 80-bit on
+    # x86-64 Linux: library code that used it would give different bits by platform
+    long_double = {"longdouble", "float128", "longfloat"}
+    found = []
+    for path in sorted(Path(extspec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):  # a dtype given by name
+                name = node.value
+            else:
+                continue
+            if name in long_double:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import exact_angle_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extspec import ParameterError, SingularFrequencyError
-from extspec.core import two_product
 from extspec.trigsums import (
     arith_trig_sum,
     cross_lag_sum,
@@ -20,19 +20,6 @@ RNG = np.random.default_rng(1729)
 
 def random_freq():
     return float(RNG.uniform(0.01, math.pi - 0.01))
-
-
-def k_weighted_reference(n: int, lam: float) -> tuple[float, float]:
-    """Sums of k cos(k lam) and k sin(k lam), k = 1..n-1, in long double at exact angles.
-
-    Each angle k*lam is split exactly into hi + lo; cos(hi + lo) = cos hi - lo sin hi
-    and sin(hi + lo) = sin hi + lo cos hi then hold to within lo^2 / 2 (below 2e-24).
-    """
-    k = np.arange(1, n, dtype=float)
-    hi, lo = (np.asarray(v, dtype=np.longdouble) for v in two_product(k, lam))
-    cos, sin = np.cos(hi), np.sin(hi)
-    k = k.astype(np.longdouble)
-    return float(np.sum(k * (cos - lo * sin))), float(np.sum(k * (sin + lo * cos)))
 
 
 class TestArithmeticSums:
@@ -85,30 +72,27 @@ class TestKWeightedSums:
         assert k_weighted_trig_sum(1, 1.0) == (0.0, 0.0)
 
     def test_matches_direct_summation(self):
-        # the reference summation runs in extended precision at exact angles: the
-        # sum grows like n/sin(lam/2), where double accumulation loses more
-        # accuracy than the closed form under test
+        # the reference sums exact angles with one rounding: the sum grows like
+        # n/sin(lam/2), where plain double accumulation loses more accuracy than
+        # the closed form under test
         for _ in range(200):
             n = int(RNG.integers(1, 2001))
             lam = random_freq()
-            ref_cos, ref_sin = k_weighted_reference(n, lam)
+            ref_cos, ref_sin = exact_angle_sums(np.arange(1.0, n), lam)
             cos_sum, sin_sum = k_weighted_trig_sum(n, lam)
             assert cos_sum == pytest.approx(ref_cos, abs=1e-10)
             assert sin_sum == pytest.approx(ref_sin, abs=1e-10)
 
     def test_independent_of_long_double_width(self, monkeypatch):
         # the kernel runs in double with exact angles, so it keeps its accuracy and its
-        # bits where np.longdouble is a plain double; the reference is taken first
-        nmant = np.finfo(np.longdouble).nmant
-        if nmant < 63:
-            pytest.skip(f"np.longdouble has {nmant} mantissa bits; the reference sums need 63")
+        # bits where long double is a plain double
         rng = np.random.default_rng(4411)
         cases, refs = [], []
         for _ in range(300):
             n = max(1, int(math.exp(rng.uniform(0.0, math.log(10_000.0)))))
             lam = float(rng.uniform(0.01, math.pi - 0.01))
             cases.append((n, lam))
-            refs += k_weighted_reference(n, lam)
+            refs += exact_angle_sums(np.arange(1.0, n), lam)
 
         def kernel():
             return [part for n, lam in cases for part in k_weighted_trig_sum(n, lam)]
