@@ -383,8 +383,6 @@ def run_analysis(args) -> dict:
     if grid is None:
         grid = fourier_grid(n)
     raw, curve, rows = estimators._spectrum(ind, grid, window)
-    smoothed, lower, upper = np.full((3, len(grid)), np.nan)
-    smoothed[rows] = curve.values
     band_info: dict = {"method": args.band}
     if args.band == "surrogate":
         band = inference.surrogate_band(curve, window)
@@ -393,13 +391,14 @@ def run_analysis(args) -> dict:
             ind, window, curve.grid, args.replicates, args.band_seed, args.level
         )
         band_info.update(replicates=args.replicates, seed=args.band_seed, level=args.level)
+    # the output columns are made after the band, so they do not add to its peak
+    smoothed, lower, upper = np.full((3, len(grid)), np.nan)
+    smoothed[rows] = curve.values
     if args.band != "none":
         lower[rows], upper[rows] = band.lower, band.upper
         del band
     del curve  # the columns hold the values: the curve, the band and their grid die here
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = {
         "extremogram": {"h": np.arange(max_lag + 1), "rho": extrem.rho, "stderr": se},
         "spectrum": {
@@ -413,10 +412,12 @@ def run_analysis(args) -> dict:
     outputs = {name: f"{name}.{args.output_format}" for name in tables}
     config = {k: v for k, v in vars(args).items() if k not in _NOT_PROVENANCE}
     config_line = json.dumps(config, sort_keys=True)
-    if args.output_format == "json":  # check every table before the first is opened
+    if args.output_format == "json":  # check every table before anything is written
         for name, key in ((name, key) for name in tables for key in tables[name]):
             if np.isinf(tables[name][key]).any():
                 raise ParameterError(f"{name} column {key!r} holds an infinity; JSON has none")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, columns in tables.items():
         path = out_dir / outputs[name]
         if args.output_format == "csv":

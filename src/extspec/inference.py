@@ -229,14 +229,6 @@ class ExpDiagnostics:
     n_ordinates: int
 
 
-def _ks_statistic_vs_unit_exponential(sample: np.ndarray) -> float:
-    x = np.sort(sample)
-    n = x.size
-    cdf = 1.0 - np.exp(-x)
-    i = np.arange(1, n + 1)
-    return float(np.max(np.maximum(i / n - cdf, cdf - (i - 1) / n)))
-
-
 def exponential_diagnostics(
     ordinates: SpectralEstimate, oracle: SpectralDensityOracle
 ) -> ExpDiagnostics:
@@ -251,13 +243,13 @@ def exponential_diagnostics(
     if mean == 0.0:
         raise DegenerateDataError("all ordinates are zero")
     n = ratios.size
-    ks = _ks_statistic_vs_unit_exponential(ratios)
     from scipy import stats  # imported here: no command needs scipy
 
-    pvalue = float(stats.kstwo.sf(ks, n)) if n > 1 else float("nan")
+    ks = stats.ks_1samp(ratios, stats.expon.cdf, method="exact")
+    pvalue = float(ks.pvalue) if n > 1 else float("nan")
     sd = float(ratios.std(ddof=1)) if n > 1 else 0.0
     return ExpDiagnostics(
-        ks_stat=ks,
+        ks_stat=float(ks.statistic),
         ks_pvalue=pvalue,
         mean_ratio=mean,
         cv=sd / mean,
