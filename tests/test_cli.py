@@ -310,6 +310,282 @@ class TestWriteRecordsJson:
         assert peaks[2**13] <= 1.05 * peaks[2**11]
 
 
+# ---------------------------------------------------------------------------
+# rejected commands: each exits 2 or 3 with one error line and writes nothing
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of the analyze inputs that the table and the argv property name."""
+    root = tmp_path_factory.mktemp("inputs")
+    x = np.random.default_rng(1).standard_t(3, 512)
+    (root / "series.csv").write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    (root / "header.csv").write_text("x\n")
+    (root / "latin1.csv").write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
+    (root / "empty.csv").write_text("")
+    (root / "nan.csv").write_text("1.0\nnan\n2.0\n")
+    for bad in ("three", "nan", "inf", "-inf"):
+        (root / f"line3-{bad}.csv").write_text(f"1\n2\n{bad}\n")
+    (root / "negative.csv").write_text("".join(f"{-v}\n" for v in range(1, 201)))
+    return root
+
+
+# flags each command starts from; argparse keeps a flag's last value, so a row's own
+# flags win.  analyze reads the module's series unless a row names an input
+BASE = {
+    "simulate": ["--n", 10, "--seed", 1],
+    "analyze": [],
+    "oracle": ["--phi", 0.8, "--theta", 0.1, "--alpha", 3],
+}
+
+
+@pytest.fixture
+def rejected(sim_file, inputs, tmp_path, capsys):
+    """``check(argv, code, words)`` runs ``argv`` on top of BASE and returns its error line.
+
+    The command must exit ``code`` and write nothing: one stderr line that starts
+    with ``error: `` and holds ``words``, no traceback, no stdout and no output path.
+    An ``--input`` value names a file of ``inputs``.
+    """
+    out = tmp_path / "out"
+
+    def check(argv, code, words):
+        command, *flags = argv
+        flags = [inputs / a if prev == "--input" else a for prev, a in zip(["", *flags], flags)]
+        source = ["--input", sim_file] if command == "analyze" else []
+        sink = ["--out" if command == "simulate" else "--out-dir", out]
+        assert run([command, *BASE[command], *source, *flags, *sink]) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert "Traceback" not in captured.err
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert words in lines[0]
+        assert not captured.out and not out.exists()
+        return lines[0]
+
+    return check
+
+
+# each size asks for more than a 2**47-byte address space, so a size that
+# went unchecked would fail in the allocator at once, not after allocating
+HUGE = 10**17
+BYTE_LIMIT = "bytes, above the 1073741824-byte limit"
+MISSING = ["--input", "missing.csv"]  # a rule checked before the read meets no file
+SEED = "seed must be a nonnegative integer"
+ORACLE = ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3]
+OVERFLOW = "the model parameters overflow"
+INCREASING = "frequencies must be strictly increasing"
+# (argv, exit code, words of the one error line that names the rule), keyed by the
+# test that runs them, so every test keeps its id.  A test parametrized by _rows
+# names a dict's rows by their keys and a list's by their argv; a test without
+# parameters runs every row of its list
+REJECTED = {
+    "test_rejected": [
+        (["simulate", "iid", "--n", 0], 2, "need n >= 1"),
+        (["analyze", *MISSING], 2, "input file not found"),
+    ],
+    "TestSimulateCommand.test_bad_parameters_exit_2": [
+        (["simulate", "arma11", "--phi", 1.5, "--theta", 0.0], 2, "need 0 < |phi| < 1"),
+    ],
+    "TestSimulateCommand.test_bad_noise_exit_2": [
+        (["simulate", "iid", "--noise", "cauchy"], 2,
+         "bad noise spec 'cauchy': expected t:NU or pareto:ALPHA[:P]"),
+    ],
+    "TestSimulateCommand.test_negative_seed_exit_2": {
+        "model0": (["simulate", "iid", "--seed", -1], 2, SEED),
+        "model1": (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
+        "model2": (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", 0.2, "--seed", -1], 2,
+                   SEED),
+        "model3": (["simulate", "maxma", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
+    },
+    "TestSimulateCommand.test_non_finite_psi_exit_2": {
+        psi: (["simulate", "maxma", "--psi", psi], 2,
+              "max-moving-average coefficients must be finite")
+        for psi in ("1,nan", "1,inf", "0.5,-inf")
+    },
+    "TestAnalyzeCommand.test_zero_exceedances_exit_3": [
+        (["analyze", "--input", "negative.csv", "--q", 0.9], 3,
+         "is not positive; too few positive observations for scaled tail events"),
+    ],
+    "TestAnalyzeCommand.test_bad_level_or_max_lag_exit_2_before_reading": {
+        **{f"--level={level}": (["analyze", *MISSING, "--level", level], 2,
+                                "level must lie in (0, 1)") for level in (0, 1, "nan")},
+        "--max-lag=-1": (["analyze", *MISSING, "--max-lag", -1], 2, "max lag must be nonnegative"),
+    },
+    # the surrogate band is a 95% band whatever the level, so another level is refused
+    "TestAnalyzeCommand.test_level_with_surrogate_band_exit_2_before_reading": [
+        (["analyze", *MISSING, "--band", "surrogate", "--level", 0.3], 2,
+         "--level sets the permutation band; the surrogate band is 95% only"),
+    ],
+    "TestAnalyzeCommand.test_bad_band_flag_exit_2_before_reading": {
+        "replicates": (["analyze", *MISSING, "--band", "permutation", "--replicates", 1], 2,
+                       "need at least two replicates"),
+        "seed": (["analyze", *MISSING, "--band", "permutation", "--band-seed", -1], 2,
+                 "band seed must be a nonnegative integer"),
+    },
+    # a grid that needs no series length is parsed before the read
+    "TestAnalyzeCommand.test_bad_grid_exit_2_before_reading": [
+        (["analyze", *MISSING, "--grid", "linspace:1:2"], 2,
+         "bad grid 'linspace:1:2': expected fourier[:N], linspace:A:B:K or list:l1,l2,..."),
+    ],
+    "TestAnalyzeCommand.test_no_tail_events_exit_3": [
+        (["analyze", "--tail-set", "upper:1e9"], 3, "no tail events"),
+    ],
+    "TestAnalyzeCommand.test_empty_grid_exit_2": {
+        grid: (["analyze", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
+        for grid in ("list:", "linspace:0.5:2.5:0", "fourier:2")
+    },
+    "TestAnalyzeCommand.test_malformed_input_exit_2_names_line": [
+        (["analyze", "--input", f"line3-{bad}.csv"], 2, f"line3-{bad}.csv: line 3: {rule}: '{bad}'")
+        for bad, rule in (("three", "not a number"), ("nan", "non-finite value"),
+                          ("inf", "non-finite value"), ("-inf", "non-finite value"))
+    ],
+    "TestAnalyzeCommand.test_non_utf8_input_exit_2": [
+        (["analyze", "--input", "latin1.csv"], 2, "latin1.csv: not a UTF-8 text file"),
+    ],
+    "TestAnalyzeCommand.test_negative_band_seed_exit_2": [
+        (["analyze", "--band", "permutation", "--band-seed", -1], 2,
+         "band seed must be a nonnegative integer"),
+    ],
+    "TestAnalyzeCommand.test_non_finite_window_weight_exit_2": {
+        **{f"custom:{w}": (["analyze", "--window", f"custom:{w}"], 2,
+                           f"bad window 'custom:{w}': weights must be finite")
+           for w in ("1,inf,1", "1,nan,1", "-inf")},
+        "custom:1e308,1e308,1e308": (["analyze", "--window", "custom:1e308,1e308,1e308"], 2,
+                                     "weights must have a finite sum"),
+    },
+    # n = 4096: a half-width of n/2 leaves no admissible window on any grid
+    "TestAnalyzeCommand.test_too_wide_window_exit_2": [
+        (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "fourier"], 2,
+         "series too short for this smoothing half-width"),
+        (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "list:0.5,1.5"], 2,
+         "smoothing window of half-width 2048 around frequency 0.5 leaves (0, pi)"),
+    ],
+    "TestOracleCommand.test_empty_grid_exit_2": [
+        (["oracle", "arma11", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
+        for grid in ("list:", "fourier:2")
+    ],
+    "TestOracleCommand.test_unsupported_case_exit_2": [
+        (["oracle", "arma11", "--p", 0.0], 2, "requires upper tail mass p > 0"),
+        # |phi|**alpha rounds to 1: the dependence never decays in floating point
+        (["oracle", "arma11", "--phi", "0.9999999999999999", "--alpha", 0.001], 2,
+         "|phi|**alpha rounds to 1"),
+    ],
+    # model and oracle parameters that are not finite, or that overflow what
+    # they produce, used to exit 0 with nan or inf values or end in a traceback
+    "test_bad_model_parameters_exit_2": [
+        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "nan"], 2,
+         "log-volatility innovation sd must be finite"),
+        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "inf"], 2,
+         "log-volatility innovation sd must be finite"),
+        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "1e308"], 2, OVERFLOW),
+        (["simulate", "iid", "--noise", "t:inf"], 2, "degrees of freedom must be finite"),
+        (["simulate", "iid", "--noise", "pareto:inf"], 2, "tail index alpha must be finite"),
+        (["simulate", "iid", "--noise", "pareto:1e-300"], 2, OVERFLOW),
+        (["simulate", "arma11", "--phi", 0.8, "--theta", "nan"], 2, "need a finite theta"),
+        (["simulate", "arma11", "--phi", 0.8, "--theta", "inf"], 2, "need a finite theta"),
+        (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308"], 2, OVERFLOW),
+        (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", "inf"], 2,
+         "relative tolerance must be finite"),
+        (["simulate", "maxma", "--phi", 0.5, "--theta", "nan"], 2, "need a finite theta"),
+        (["simulate", "maxma", "--psi", "abc"], 2, "bad --psi 'abc'"),
+        (["oracle", "arma11", "--phi", 0.8, "--theta", "nan", "--alpha", 3], 2,
+         "need a finite theta"),
+        (["oracle", "arma11", "--phi", 0.8, "--theta", "inf", "--alpha", 3], 2,
+         "need a finite theta"),
+        (["oracle", "arma11", "--phi", 0.8, "--theta", "1e308", "--alpha", 3], 2,
+         "|phi+theta|**alpha overflows"),
+        (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", "inf"], 2,
+         "tail index alpha must be finite"),
+        (["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0], 2,
+         "|phi|**alpha rounds to 0"),
+        # |phi|**alpha underflows to 0, and |phi|**alpha rounds to 1 in the max-MA filter tail
+        (["oracle", "arma11", "--phi", -0.6, "--theta", 0.1, "--alpha", "1e308"], 2,
+         "|phi|**alpha rounds to 0"),
+        (["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000], 2,
+         "|phi|**alpha rounds to 0"),
+        (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"], 2,
+         "|ratio|**alpha rounds to 1"),
+        # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
+        (["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1], 2,
+         "the closed form overflows"),
+    ],
+    # --n 10 above runs the filter's scalar loop alone; 200,000 values run its lanes
+    "test_overflow_in_the_filter_lanes_exit_2": [
+        (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308", "--n", 200_000, "--seed", 1],
+         2, OVERFLOW),
+    ],
+    "test_size_above_memory_limit_exit_2": [
+        (["simulate", "iid", "--n", HUGE, "--seed", 1], 2, BYTE_LIMIT),
+        (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--burnin", HUGE, "--n", 10,
+          "--seed", 1], 2, BYTE_LIMIT),
+        # the filter tail needs 1.4e16 coefficients
+        (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-13", "--n", 10,
+          "--seed", 1], 2, BYTE_LIMIT),
+        (["analyze", "--window", f"daniell:{HUGE}"], 2, BYTE_LIMIT),
+        (["analyze", "--grid", f"fourier:{HUGE}"], 2, BYTE_LIMIT),
+        (["analyze", "--grid", f"linspace:0.5:2.5:{HUGE}"], 2, BYTE_LIMIT),
+        ([*ORACLE, "--max-lag", HUGE], 2, BYTE_LIMIT),
+        (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 1e-13], 2,
+         BYTE_LIMIT),  # series depth 1.2e15
+    ],
+    # flags that break a rule of the README
+    "test_broken_rule_exit_2_names_it": [
+        (["simulate", "arma11", "--phi", 0.8, "--n", 10, "--seed", 1], 2,
+         "arma11 needs --phi and --theta"),
+        (["simulate", "maxma", "--n", 10, "--seed", 1], 2,
+         "maxma needs --psi or both --phi and --theta"),
+        (["simulate", "maxma", "--phi", 0.8, "--n", 10, "--seed", 1], 2,
+         "maxma needs --psi or both --phi and --theta"),
+        (["analyze", "--tail-set", "upper:abc"], 2, "bad tail set 'upper:abc'"),
+        (["analyze", "--window", "gauss:3"], 2,
+         "bad window 'gauss:3': expected daniell:S or custom:"),
+        (["analyze", "--grid", "list:1.2,0.6"], 2, INCREASING),
+        (["analyze", "--grid", "list:1.0,1.0"], 2, INCREASING),
+        ([*ORACLE, "--grid", "linspace:1:0.5:3"], 2, INCREASING),
+        ([*ORACLE, "--grid", "fourier"], 2, "fourier grid needs a series length"),
+    ],
+}
+
+
+def _rows(test):
+    """Parametrize a test with the rows that REJECTED holds for it."""
+    rows = REJECTED[test]
+    if isinstance(rows, list):
+        rows = {" ".join(map(str, argv)): (argv, code, words) for argv, code, words in rows}
+    return pytest.mark.parametrize("argv, code, words", list(rows.values()), ids=list(rows))
+
+
+def _reject_all(rejected, test):
+    """Run every row that REJECTED holds for an unparametrized test."""
+    for row in REJECTED[test]:
+        rejected(*row)
+
+
+@_rows("test_rejected")
+def test_rejected(argv, code, words, rejected):
+    rejected(argv, code, words)
+
+
+@_rows("test_bad_model_parameters_exit_2")
+def test_bad_model_parameters_exit_2(argv, code, words, rejected):
+    rejected(argv, code, words)
+
+
+def test_overflow_in_the_filter_lanes_exit_2(rejected):
+    _reject_all(rejected, "test_overflow_in_the_filter_lanes_exit_2")
+
+
+@_rows("test_size_above_memory_limit_exit_2")
+def test_size_above_memory_limit_exit_2(argv, code, words, rejected):
+    rejected(argv, code, words)
+
+
+@_rows("test_broken_rule_exit_2_names_it")
+def test_broken_rule_exit_2_names_it(argv, code, words, rejected):
+    rejected(argv, code, words)
+
+
 class TestSimulateCommand:
     def test_row_count(self, tmp_path):
         out = tmp_path / "iid.csv"
@@ -343,6 +619,20 @@ class TestSimulateCommand:
         assert run(["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", 0.2,
                     "--noise", "t:3", "--n", 100, "--seed", 2, "--out", out]) == 0
         assert len(data_rows(out)) == 100
+
+    def test_bad_parameters_exit_2(self, rejected):
+        _reject_all(rejected, "TestSimulateCommand.test_bad_parameters_exit_2")
+
+    def test_bad_noise_exit_2(self, rejected):
+        _reject_all(rejected, "TestSimulateCommand.test_bad_noise_exit_2")
+
+    @_rows("TestSimulateCommand.test_negative_seed_exit_2")
+    def test_negative_seed_exit_2(self, argv, code, words, rejected):
+        rejected(argv, code, words)
+
+    @_rows("TestSimulateCommand.test_non_finite_psi_exit_2")
+    def test_non_finite_psi_exit_2(self, argv, code, words, rejected):
+        rejected(argv, code, words)
 
 @pytest.fixture(scope="module")
 def sim_file(tmp_path_factory):
@@ -389,6 +679,47 @@ class TestAnalyzeCommand:
                 v = float(cell)
                 if math.isfinite(v):
                     assert f"{v:.17g}" == cell
+
+    def test_zero_exceedances_exit_3(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_zero_exceedances_exit_3")
+
+    @_rows("TestAnalyzeCommand.test_bad_level_or_max_lag_exit_2_before_reading")
+    def test_bad_level_or_max_lag_exit_2_before_reading(self, argv, code, words, rejected):
+        rejected(argv, code, words)
+
+    def test_level_with_surrogate_band_exit_2_before_reading(self, rejected):
+        _reject_all(rejected,
+                    "TestAnalyzeCommand.test_level_with_surrogate_band_exit_2_before_reading")
+
+    @_rows("TestAnalyzeCommand.test_bad_band_flag_exit_2_before_reading")
+    def test_bad_band_flag_exit_2_before_reading(self, argv, code, words, rejected):
+        rejected(argv, code, words)
+
+    def test_bad_grid_exit_2_before_reading(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_bad_grid_exit_2_before_reading")
+
+    def test_no_tail_events_exit_3(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_no_tail_events_exit_3")
+
+    @_rows("TestAnalyzeCommand.test_empty_grid_exit_2")
+    def test_empty_grid_exit_2(self, argv, code, words, rejected):
+        rejected(argv, code, words)
+
+    def test_malformed_input_exit_2_names_line(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_malformed_input_exit_2_names_line")
+
+    def test_non_utf8_input_exit_2(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_non_utf8_input_exit_2")
+
+    def test_negative_band_seed_exit_2(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_negative_band_seed_exit_2")
+
+    @_rows("TestAnalyzeCommand.test_non_finite_window_weight_exit_2")
+    def test_non_finite_window_weight_exit_2(self, argv, code, words, rejected):
+        rejected(argv, code, words)
+
+    def test_too_wide_window_exit_2(self, rejected):
+        _reject_all(rejected, "TestAnalyzeCommand.test_too_wide_window_exit_2")
 
     def test_window_leaving_0_pi_exit_2_before_the_direct_sums(self, rejected, monkeypatch):
         # off the Fourier grid of n the smoothed values come first: a window that
@@ -645,6 +976,12 @@ class TestOracleCommand:
                     "--out-dir", out]) == 0
         _assert_finite_outputs("oracle", out)
 
+    def test_empty_grid_exit_2(self, rejected):
+        _reject_all(rejected, "TestOracleCommand.test_empty_grid_exit_2")
+
+    def test_unsupported_case_exit_2(self, rejected):
+        _reject_all(rejected, "TestOracleCommand.test_unsupported_case_exit_2")
+
     def test_negative_max_lag_exit_2_before_the_grid(self, rejected, monkeypatch):
         # the lag curve is checked first: a bad --max-lag costs no pass over the grid
         def evaluate(self, freqs):
@@ -655,186 +992,6 @@ class TestOracleCommand:
                          "--max-lag", -1], 2, "lag must be nonnegative")
         assert line == "error: lag must be nonnegative"
 
-
-# ---------------------------------------------------------------------------
-# rejected commands: each exits 2 or 3 with one error line and writes nothing
-
-
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """A directory of the analyze inputs that the table and the argv property name."""
-    root = tmp_path_factory.mktemp("inputs")
-    x = np.random.default_rng(1).standard_t(3, 512)
-    (root / "series.csv").write_text("".join(f"{v!r}\n" for v in x.tolist()))
-    (root / "header.csv").write_text("x\n")
-    (root / "latin1.csv").write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
-    (root / "empty.csv").write_text("")
-    (root / "nan.csv").write_text("1.0\nnan\n2.0\n")
-    for bad in ("three", "nan", "inf", "-inf"):
-        (root / f"line3-{bad}.csv").write_text(f"1\n2\n{bad}\n")
-    (root / "negative.csv").write_text("".join(f"{-v}\n" for v in range(1, 201)))
-    return root
-
-
-# flags each command starts from; argparse keeps a flag's last value, so a row's own
-# flags win.  analyze reads the module's series unless a row names an input
-BASE = {
-    "simulate": ["--n", 10, "--seed", 1],
-    "analyze": [],
-    "oracle": ["--phi", 0.8, "--theta", 0.1, "--alpha", 3],
-}
-
-
-@pytest.fixture
-def rejected(sim_file, inputs, tmp_path, capsys):
-    """``check(argv, code, words)`` runs ``argv`` on top of BASE and returns its error line.
-
-    The command must exit ``code`` and write nothing: one stderr line that starts
-    with ``error: `` and holds ``words``, no traceback, no stdout and no output path.
-    An ``--input`` value names a file of ``inputs``.
-    """
-    out = tmp_path / "out"
-
-    def check(argv, code, words):
-        command, *flags = argv
-        flags = [inputs / a if prev == "--input" else a for prev, a in zip(["", *flags], flags)]
-        source = ["--input", sim_file] if command == "analyze" else []
-        sink = ["--out" if command == "simulate" else "--out-dir", out]
-        assert run([command, *BASE[command], *source, *flags, *sink]) == code
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert "Traceback" not in captured.err
-        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-        assert words in lines[0]
-        assert not captured.out and not out.exists()
-        return lines[0]
-
-    return check
-
-
-# each size asks for more than a 2**47-byte address space, so a size that
-# went unchecked would fail in the allocator at once, not after allocating
-HUGE = 10**17
-BYTE_LIMIT = "bytes, above the 1073741824-byte limit"
-MISSING = ["--input", "missing.csv"]  # a rule checked before the read meets no file
-SEED = "seed must be a nonnegative integer"
-# (argv, exit code, words of the one error line that names the rule)
-REJECTED = [
-    (["simulate", "iid", "--n", 0], 2, "need n >= 1"),
-    (["simulate", "iid", "--noise", "cauchy"], 2,
-     "bad noise spec 'cauchy': expected t:NU or pareto:ALPHA[:P]"),
-    (["simulate", "iid", "--seed", -1], 2, SEED),
-    (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
-    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", 0.2, "--seed", -1], 2, SEED),
-    (["simulate", "maxma", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
-    (["simulate", "arma11", "--phi", 1.5, "--theta", 0.0], 2, "need 0 < |phi| < 1"),
-    (["simulate", "arma11", "--phi", 0.8], 2, "arma11 needs --phi and --theta"),
-    (["simulate", "maxma"], 2, "maxma needs --psi or both --phi and --theta"),
-    (["simulate", "maxma", "--phi", 0.8], 2, "maxma needs --psi or both --phi and --theta"),
-    (["simulate", "maxma", "--psi", "abc"], 2, "bad --psi 'abc'"),
-    *[(["simulate", "maxma", "--psi", psi], 2, "max-moving-average coefficients must be finite")
-      for psi in ("1,nan", "1,inf", "0.5,-inf")],
-    # model parameters that are not finite, or that overflow what they produce,
-    # used to exit 0 with nan or inf values or end in a traceback
-    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "nan"], 2,
-     "log-volatility innovation sd must be finite"),
-    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "inf"], 2,
-     "log-volatility innovation sd must be finite"),
-    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "1e308"], 2,
-     "the model parameters overflow"),
-    (["simulate", "iid", "--noise", "t:inf"], 2, "degrees of freedom must be finite"),
-    (["simulate", "iid", "--noise", "pareto:inf"], 2, "tail index alpha must be finite"),
-    (["simulate", "iid", "--noise", "pareto:1e-300"], 2, "the model parameters overflow"),
-    (["simulate", "arma11", "--phi", 0.8, "--theta", "nan"], 2, "need a finite theta"),
-    (["simulate", "arma11", "--phi", 0.8, "--theta", "inf"], 2, "need a finite theta"),
-    (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308"], 2, "the model parameters overflow"),
-    # --n 10 runs the filter's scalar loop alone; 200,000 values run its lanes
-    (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308", "--n", 200_000], 2,
-     "the model parameters overflow"),
-    (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", "inf"], 2,
-     "relative tolerance must be finite"),
-    (["simulate", "maxma", "--phi", 0.5, "--theta", "nan"], 2, "need a finite theta"),
-    # |phi|**alpha rounds to 1 in the max-MA filter tail
-    (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"], 2,
-     "|ratio|**alpha rounds to 1"),
-    (["simulate", "iid", "--n", HUGE], 2, BYTE_LIMIT),
-    (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--burnin", HUGE], 2, BYTE_LIMIT),
-    # the filter tail needs 1.4e16 coefficients
-    (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-13"], 2, BYTE_LIMIT),
-    (["analyze", *MISSING], 2, "input file not found"),
-    (["analyze", *MISSING, "--level", 0], 2, "level must lie in (0, 1)"),
-    (["analyze", *MISSING, "--level", 1], 2, "level must lie in (0, 1)"),
-    (["analyze", *MISSING, "--level", "nan"], 2, "level must lie in (0, 1)"),
-    (["analyze", *MISSING, "--max-lag", -1], 2, "max lag must be nonnegative"),
-    # the surrogate band is a 95% band whatever the level, so another level is refused
-    (["analyze", *MISSING, "--band", "surrogate", "--level", 0.3], 2,
-     "--level sets the permutation band; the surrogate band is 95% only"),
-    (["analyze", *MISSING, "--band", "permutation", "--replicates", 1], 2,
-     "need at least two replicates"),
-    (["analyze", *MISSING, "--band", "permutation", "--band-seed", -1], 2,
-     "band seed must be a nonnegative integer"),
-    (["analyze", "--band", "permutation", "--band-seed", -1], 2,
-     "band seed must be a nonnegative integer"),
-    # a grid that needs no series length is parsed before the read
-    (["analyze", *MISSING, "--grid", "linspace:1:2"], 2,
-     "bad grid 'linspace:1:2': expected fourier[:N], linspace:A:B:K or list:l1,l2,..."),
-    *[(["analyze", "--input", f"line3-{bad}.csv"], 2, f"line3-{bad}.csv: line 3: {rule}: '{bad}'")
-      for bad, rule in (("three", "not a number"), ("nan", "non-finite value"),
-                        ("inf", "non-finite value"), ("-inf", "non-finite value"))],
-    (["analyze", "--input", "latin1.csv"], 2, "latin1.csv: not a UTF-8 text file"),
-    (["analyze", "--input", "negative.csv", "--q", 0.9], 3,
-     "is not positive; too few positive observations for scaled tail events"),
-    (["analyze", "--tail-set", "upper:1e9"], 3, "no tail events"),
-    (["analyze", "--tail-set", "upper:abc"], 2, "bad tail set 'upper:abc'"),
-    (["analyze", "--window", "gauss:3"], 2, "bad window 'gauss:3': expected daniell:S or custom:"),
-    *[(["analyze", "--window", f"custom:{w}"], 2, f"bad window 'custom:{w}': weights must be finite")
-      for w in ("1,inf,1", "1,nan,1", "-inf")],
-    (["analyze", "--window", "custom:1e308,1e308,1e308"], 2, "weights must have a finite sum"),
-    # n = 4096: a half-width of n/2 leaves no admissible window on any grid
-    (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "fourier"], 2,
-     "series too short for this smoothing half-width"),
-    (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "list:0.5,1.5"], 2,
-     "smoothing window of half-width 2048 around frequency 0.5 leaves (0, pi)"),
-    *[(["analyze", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
-      for grid in ("list:", "linspace:0.5:2.5:0", "fourier:2")],
-    (["analyze", "--grid", "list:1.2,0.6"], 2, "frequencies must be strictly increasing"),
-    (["analyze", "--grid", "list:1.0,1.0"], 2, "frequencies must be strictly increasing"),
-    (["analyze", "--window", f"daniell:{HUGE}"], 2, BYTE_LIMIT),
-    (["analyze", "--grid", f"fourier:{HUGE}"], 2, BYTE_LIMIT),
-    (["analyze", "--grid", f"linspace:0.5:2.5:{HUGE}"], 2, BYTE_LIMIT),
-    *[(["oracle", "arma11", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
-      for grid in ("list:", "fourier:2")],
-    (["oracle", "arma11", "--grid", "linspace:1:0.5:3"], 2,
-     "frequencies must be strictly increasing"),
-    (["oracle", "arma11", "--grid", "fourier"], 2, "fourier grid needs a series length"),
-    (["oracle", "arma11", "--p", 0.0], 2, "requires upper tail mass p > 0"),
-    # |phi|**alpha rounds to 1: the dependence never decays in floating point
-    (["oracle", "arma11", "--phi", "0.9999999999999999", "--alpha", 0.001], 2,
-     "|phi|**alpha rounds to 1"),
-    # oracle parameters that are not finite, or whose closed forms overflow
-    (["oracle", "arma11", "--theta", "nan"], 2, "need a finite theta"),
-    (["oracle", "arma11", "--theta", "inf"], 2, "need a finite theta"),
-    (["oracle", "arma11", "--theta", "1e308"], 2, "|phi+theta|**alpha overflows"),
-    (["oracle", "arma11", "--alpha", "inf"], 2, "tail index alpha must be finite"),
-    # |phi|**alpha underflows to 0
-    (["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0], 2,
-     "|phi|**alpha rounds to 0"),
-    (["oracle", "arma11", "--phi", -0.6, "--alpha", "1e308"], 2, "|phi|**alpha rounds to 0"),
-    (["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000], 2,
-     "|phi|**alpha rounds to 0"),
-    # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
-    (["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1], 2,
-     "the closed form overflows"),
-    (["oracle", "arma11", "--max-lag", HUGE], 2, BYTE_LIMIT),
-    (["oracle", "arma11", "--alpha", 1e-13], 2, BYTE_LIMIT),  # series depth 1.2e15
-]
-
-
-@pytest.mark.parametrize(
-    "argv, code, words", REJECTED, ids=[" ".join(map(str, row[0])) for row in REJECTED]
-)
-def test_rejected(argv, code, words, rejected):
-    rejected(argv, code, words)
 
 @pytest.mark.parametrize(
     "argv",
