@@ -192,6 +192,7 @@ class TestReaderProperty:
     @example(content=b"infinity\n")
     @example(content=b"a\nb\n1\n")
     @example(content=b"caf\xe9\n1.0\n")
+    @example(content=b"# caf\xe9\n1.0\n")
     @example(content=b"1.0\n\xff\n")
     @settings(max_examples=300, deadline=None)
     def test_fast_read_matches_line_reader(self, content, csv_dir):
@@ -316,12 +317,13 @@ class TestWriteRecordsJson:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A directory of the analyze inputs that the table and the argv property name."""
+    """A directory of the analyze inputs that the rejections and the argv property name."""
     root = tmp_path_factory.mktemp("inputs")
     x = np.random.default_rng(1).standard_t(3, 512)
     (root / "series.csv").write_text("".join(f"{v!r}\n" for v in x.tolist()))
     (root / "header.csv").write_text("x\n")
     (root / "latin1.csv").write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
+    (root / "latin1-comment.csv").write_bytes("# caf\xe9\n1.0\n2.0\n".encode("latin-1"))
     (root / "empty.csv").write_text("")
     (root / "nan.csv").write_text("1.0\nnan\n2.0\n")
     for bad in ("three", "nan", "inf", "-inf"):
@@ -332,11 +334,8 @@ def inputs(tmp_path_factory):
 
 # flags each command starts from; argparse keeps a flag's last value, so a row's own
 # flags win.  analyze reads the module's series unless a row names an input
-BASE = {
-    "simulate": ["--n", 10, "--seed", 1],
-    "analyze": [],
-    "oracle": ["--phi", 0.8, "--theta", 0.1, "--alpha", 3],
-}
+BASE = {"simulate": ["--n", 10, "--seed", 1], "analyze": [],
+        "oracle": ["--phi", 0.8, "--theta", 0.1, "--alpha", 3]}
 
 
 @pytest.fixture
@@ -366,224 +365,103 @@ def rejected(sim_file, inputs, tmp_path, capsys):
     return check
 
 
-# each size asks for more than a 2**47-byte address space, so a size that
-# went unchecked would fail in the allocator at once, not after allocating
-HUGE = 10**17
-BYTE_LIMIT = "bytes, above the 1073741824-byte limit"
 MISSING = ["--input", "missing.csv"]  # a rule checked before the read meets no file
 SEED = "seed must be a nonnegative integer"
-ORACLE = ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3]
 OVERFLOW = "the model parameters overflow"
 INCREASING = "frequencies must be strictly increasing"
-# (argv, exit code, words of the one error line that names the rule), keyed by the
-# test that runs them, so every test keeps its id.  A test parametrized by _rows
-# names a dict's rows by their keys and a list's by their argv; a test without
-# parameters runs every row of its list
-REJECTED = {
-    "test_rejected": [
-        (["simulate", "iid", "--n", 0], 2, "need n >= 1"),
-        (["analyze", *MISSING], 2, "input file not found"),
-    ],
-    "TestSimulateCommand.test_bad_parameters_exit_2": [
-        (["simulate", "arma11", "--phi", 1.5, "--theta", 0.0], 2, "need 0 < |phi| < 1"),
-    ],
-    "TestSimulateCommand.test_bad_noise_exit_2": [
-        (["simulate", "iid", "--noise", "cauchy"], 2,
-         "bad noise spec 'cauchy': expected t:NU or pareto:ALPHA[:P]"),
-    ],
-    "TestSimulateCommand.test_negative_seed_exit_2": {
-        "model0": (["simulate", "iid", "--seed", -1], 2, SEED),
-        "model1": (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
-        "model2": (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", 0.2, "--seed", -1], 2,
-                   SEED),
-        "model3": (["simulate", "maxma", "--phi", 0.8, "--theta", 0.1, "--seed", -1], 2, SEED),
-    },
-    "TestSimulateCommand.test_non_finite_psi_exit_2": {
-        psi: (["simulate", "maxma", "--psi", psi], 2,
-              "max-moving-average coefficients must be finite")
-        for psi in ("1,nan", "1,inf", "0.5,-inf")
-    },
-    "TestAnalyzeCommand.test_zero_exceedances_exit_3": [
-        (["analyze", "--input", "negative.csv", "--q", 0.9], 3,
-         "is not positive; too few positive observations for scaled tail events"),
-    ],
-    "TestAnalyzeCommand.test_bad_level_or_max_lag_exit_2_before_reading": {
-        **{f"--level={level}": (["analyze", *MISSING, "--level", level], 2,
-                                "level must lie in (0, 1)") for level in (0, 1, "nan")},
-        "--max-lag=-1": (["analyze", *MISSING, "--max-lag", -1], 2, "max lag must be nonnegative"),
-    },
-    # the surrogate band is a 95% band whatever the level, so another level is refused
-    "TestAnalyzeCommand.test_level_with_surrogate_band_exit_2_before_reading": [
-        (["analyze", *MISSING, "--band", "surrogate", "--level", 0.3], 2,
-         "--level sets the permutation band; the surrogate band is 95% only"),
-    ],
-    "TestAnalyzeCommand.test_bad_band_flag_exit_2_before_reading": {
-        "replicates": (["analyze", *MISSING, "--band", "permutation", "--replicates", 1], 2,
-                       "need at least two replicates"),
-        "seed": (["analyze", *MISSING, "--band", "permutation", "--band-seed", -1], 2,
-                 "band seed must be a nonnegative integer"),
-    },
-    # a grid that needs no series length is parsed before the read
-    "TestAnalyzeCommand.test_bad_grid_exit_2_before_reading": [
-        (["analyze", *MISSING, "--grid", "linspace:1:2"], 2,
-         "bad grid 'linspace:1:2': expected fourier[:N], linspace:A:B:K or list:l1,l2,..."),
-    ],
-    "TestAnalyzeCommand.test_no_tail_events_exit_3": [
-        (["analyze", "--tail-set", "upper:1e9"], 3, "no tail events"),
-    ],
-    "TestAnalyzeCommand.test_empty_grid_exit_2": {
-        grid: (["analyze", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
-        for grid in ("list:", "linspace:0.5:2.5:0", "fourier:2")
-    },
-    "TestAnalyzeCommand.test_malformed_input_exit_2_names_line": [
-        (["analyze", "--input", f"line3-{bad}.csv"], 2, f"line3-{bad}.csv: line 3: {rule}: '{bad}'")
-        for bad, rule in (("three", "not a number"), ("nan", "non-finite value"),
-                          ("inf", "non-finite value"), ("-inf", "non-finite value"))
-    ],
-    "TestAnalyzeCommand.test_non_utf8_input_exit_2": [
-        (["analyze", "--input", "latin1.csv"], 2, "latin1.csv: not a UTF-8 text file"),
-    ],
-    "TestAnalyzeCommand.test_negative_band_seed_exit_2": [
-        (["analyze", "--band", "permutation", "--band-seed", -1], 2,
-         "band seed must be a nonnegative integer"),
-    ],
-    "TestAnalyzeCommand.test_non_finite_window_weight_exit_2": {
-        **{f"custom:{w}": (["analyze", "--window", f"custom:{w}"], 2,
-                           f"bad window 'custom:{w}': weights must be finite")
-           for w in ("1,inf,1", "1,nan,1", "-inf")},
-        "custom:1e308,1e308,1e308": (["analyze", "--window", "custom:1e308,1e308,1e308"], 2,
-                                     "weights must have a finite sum"),
-    },
-    # n = 4096: a half-width of n/2 leaves no admissible window on any grid
-    "TestAnalyzeCommand.test_too_wide_window_exit_2": [
-        (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "fourier"], 2,
-         "series too short for this smoothing half-width"),
-        (["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", "list:0.5,1.5"], 2,
-         "smoothing window of half-width 2048 around frequency 0.5 leaves (0, pi)"),
-    ],
-    "TestOracleCommand.test_empty_grid_exit_2": [
-        (["oracle", "arma11", "--grid", grid], 2, f"bad grid '{grid}': frequency grid is empty")
-        for grid in ("list:", "fourier:2")
-    ],
-    "TestOracleCommand.test_unsupported_case_exit_2": [
-        (["oracle", "arma11", "--p", 0.0], 2, "requires upper tail mass p > 0"),
-        # |phi|**alpha rounds to 1: the dependence never decays in floating point
-        (["oracle", "arma11", "--phi", "0.9999999999999999", "--alpha", 0.001], 2,
-         "|phi|**alpha rounds to 1"),
-    ],
-    # model and oracle parameters that are not finite, or that overflow what
-    # they produce, used to exit 0 with nan or inf values or end in a traceback
-    "test_bad_model_parameters_exit_2": [
-        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "nan"], 2,
-         "log-volatility innovation sd must be finite"),
-        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "inf"], 2,
-         "log-volatility innovation sd must be finite"),
-        (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "1e308"], 2, OVERFLOW),
-        (["simulate", "iid", "--noise", "t:inf"], 2, "degrees of freedom must be finite"),
-        (["simulate", "iid", "--noise", "pareto:inf"], 2, "tail index alpha must be finite"),
-        (["simulate", "iid", "--noise", "pareto:1e-300"], 2, OVERFLOW),
-        (["simulate", "arma11", "--phi", 0.8, "--theta", "nan"], 2, "need a finite theta"),
-        (["simulate", "arma11", "--phi", 0.8, "--theta", "inf"], 2, "need a finite theta"),
-        (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308"], 2, OVERFLOW),
-        (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", "inf"], 2,
-         "relative tolerance must be finite"),
-        (["simulate", "maxma", "--phi", 0.5, "--theta", "nan"], 2, "need a finite theta"),
-        (["simulate", "maxma", "--psi", "abc"], 2, "bad --psi 'abc'"),
-        (["oracle", "arma11", "--phi", 0.8, "--theta", "nan", "--alpha", 3], 2,
-         "need a finite theta"),
-        (["oracle", "arma11", "--phi", 0.8, "--theta", "inf", "--alpha", 3], 2,
-         "need a finite theta"),
-        (["oracle", "arma11", "--phi", 0.8, "--theta", "1e308", "--alpha", 3], 2,
-         "|phi+theta|**alpha overflows"),
-        (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", "inf"], 2,
-         "tail index alpha must be finite"),
-        (["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0], 2,
-         "|phi|**alpha rounds to 0"),
-        # |phi|**alpha underflows to 0, and |phi|**alpha rounds to 1 in the max-MA filter tail
-        (["oracle", "arma11", "--phi", -0.6, "--theta", 0.1, "--alpha", "1e308"], 2,
-         "|phi|**alpha rounds to 0"),
-        (["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000], 2,
-         "|phi|**alpha rounds to 0"),
-        (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"], 2,
-         "|ratio|**alpha rounds to 1"),
-        # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
-        (["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1], 2,
-         "the closed form overflows"),
-    ],
-    # --n 10 above runs the filter's scalar loop alone; 200,000 values run its lanes
-    "test_overflow_in_the_filter_lanes_exit_2": [
-        (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308", "--n", 200_000, "--seed", 1],
-         2, OVERFLOW),
-    ],
-    "test_size_above_memory_limit_exit_2": [
-        (["simulate", "iid", "--n", HUGE, "--seed", 1], 2, BYTE_LIMIT),
-        (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--burnin", HUGE, "--n", 10,
-          "--seed", 1], 2, BYTE_LIMIT),
-        # the filter tail needs 1.4e16 coefficients
-        (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-13", "--n", 10,
-          "--seed", 1], 2, BYTE_LIMIT),
-        (["analyze", "--window", f"daniell:{HUGE}"], 2, BYTE_LIMIT),
-        (["analyze", "--grid", f"fourier:{HUGE}"], 2, BYTE_LIMIT),
-        (["analyze", "--grid", f"linspace:0.5:2.5:{HUGE}"], 2, BYTE_LIMIT),
-        ([*ORACLE, "--max-lag", HUGE], 2, BYTE_LIMIT),
-        (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 1e-13], 2,
-         BYTE_LIMIT),  # series depth 1.2e15
-    ],
-    # flags that break a rule of the README
-    "test_broken_rule_exit_2_names_it": [
-        (["simulate", "arma11", "--phi", 0.8, "--n", 10, "--seed", 1], 2,
-         "arma11 needs --phi and --theta"),
-        (["simulate", "maxma", "--n", 10, "--seed", 1], 2,
-         "maxma needs --psi or both --phi and --theta"),
-        (["simulate", "maxma", "--phi", 0.8, "--n", 10, "--seed", 1], 2,
-         "maxma needs --psi or both --phi and --theta"),
-        (["analyze", "--tail-set", "upper:abc"], 2, "bad tail set 'upper:abc'"),
-        (["analyze", "--window", "gauss:3"], 2,
-         "bad window 'gauss:3': expected daniell:S or custom:"),
-        (["analyze", "--grid", "list:1.2,0.6"], 2, INCREASING),
-        (["analyze", "--grid", "list:1.0,1.0"], 2, INCREASING),
-        ([*ORACLE, "--grid", "linspace:1:0.5:3"], 2, INCREASING),
-        ([*ORACLE, "--grid", "fourier"], 2, "fourier grid needs a series length"),
-    ],
-}
 
 
-def _rows(test):
-    """Parametrize a test with the rows that REJECTED holds for it."""
-    rows = REJECTED[test]
-    if isinstance(rows, list):
-        rows = {" ".join(map(str, argv)): (argv, code, words) for argv, code, words in rows}
-    return pytest.mark.parametrize("argv, code, words", list(rows.values()), ids=list(rows))
+def argv_rows(*rows):
+    """``(argv, words)`` rows for parametrize, each test id being the row's argv."""
+    return [pytest.param(argv, words, id=" ".join(map(str, argv))) for argv, words in rows]
 
 
-def _reject_all(rejected, test):
-    """Run every row that REJECTED holds for an unparametrized test."""
-    for row in REJECTED[test]:
-        rejected(*row)
-
-
-@_rows("test_rejected")
-def test_rejected(argv, code, words, rejected):
-    rejected(argv, code, words)
-
-
-@_rows("test_bad_model_parameters_exit_2")
-def test_bad_model_parameters_exit_2(argv, code, words, rejected):
-    rejected(argv, code, words)
+# model and oracle parameters that are not finite, or that overflow what
+# they produce, used to exit 0 with nan or inf values or end in a traceback
+@pytest.mark.parametrize("argv, words", argv_rows(
+    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "nan"],
+     "log-volatility innovation sd must be finite"),
+    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "inf"],
+     "log-volatility innovation sd must be finite"),
+    (["simulate", "sv", "--logvol-ar", 0.5, "--logvol-sd", "1e308"], OVERFLOW),
+    (["simulate", "iid", "--noise", "t:inf"], "degrees of freedom must be finite"),
+    (["simulate", "iid", "--noise", "pareto:inf"], "tail index alpha must be finite"),
+    (["simulate", "iid", "--noise", "pareto:1e-300"], OVERFLOW),
+    (["simulate", "arma11", "--phi", 0.8, "--theta", "nan"], "need a finite theta"),
+    (["simulate", "arma11", "--phi", 0.8, "--theta", "inf"], "need a finite theta"),
+    (["simulate", "arma11", "--phi", 0.8, "--theta", "1e308"], OVERFLOW),
+    (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", "inf"],
+     "relative tolerance must be finite"),
+    (["simulate", "maxma", "--phi", 0.5, "--theta", "nan"], "need a finite theta"),
+    (["simulate", "maxma", "--psi", "abc"], "bad --psi 'abc'"),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", "nan", "--alpha", 3], "need a finite theta"),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", "inf", "--alpha", 3], "need a finite theta"),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", "1e308", "--alpha", 3],
+     "|phi+theta|**alpha overflows"),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", "inf"],
+     "tail index alpha must be finite"),
+    (["oracle", "arma11", "--phi", 0.5, "--theta", -1.2, "--alpha", "1e308", "--p", 0],
+     "|phi|**alpha rounds to 0"),
+    # |phi|**alpha underflows to 0, and |phi|**alpha rounds to 1 in the max-MA filter tail
+    (["oracle", "arma11", "--phi", -0.6, "--theta", 0.1, "--alpha", "1e308"],
+     "|phi|**alpha rounds to 0"),
+    (["oracle", "arma11", "--phi", 0.5, "--theta", 0.5, "--alpha", 2000],
+     "|phi|**alpha rounds to 0"),
+    (["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-17"],
+     "|ratio|**alpha rounds to 1"),
+    # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
+    (["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1],
+     "the closed form overflows"),
+))  # fmt: skip
+def test_bad_model_parameters_exit_2(argv, words, rejected):
+    rejected(argv, 2, words)
 
 
 def test_overflow_in_the_filter_lanes_exit_2(rejected):
-    _reject_all(rejected, "test_overflow_in_the_filter_lanes_exit_2")
+    # BASE's --n 10 runs the filter's scalar loop alone; 200,000 values run its lanes
+    rejected(["simulate", "arma11", "--phi", 0.8, "--theta", "1e308", "--n", 200_000], 2, OVERFLOW)
 
 
-@_rows("test_size_above_memory_limit_exit_2")
-def test_size_above_memory_limit_exit_2(argv, code, words, rejected):
-    rejected(argv, code, words)
+# each size asks for more than a 2**47-byte address space, so a size that
+# went unchecked would fail in the allocator at once, not after allocating.
+# A row's argv is its test id, so some rows repeat flags that BASE also gives
+HUGE = 10**17
 
 
-@_rows("test_broken_rule_exit_2_names_it")
-def test_broken_rule_exit_2_names_it(argv, code, words, rejected):
-    rejected(argv, code, words)
+@pytest.mark.parametrize("argv", [
+    ["simulate", "iid", "--n", HUGE, "--seed", 1],
+    ["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--burnin", HUGE, "--n", 10, "--seed", 1],
+    # the filter tail needs 1.4e16 coefficients
+    ["simulate", "maxma", "--phi", 0.97, "--theta", 0.5, "--noise", "t:1e-13", "--n", 10,
+     "--seed", 1],
+    ["analyze", "--window", f"daniell:{HUGE}"],
+    ["analyze", "--grid", f"fourier:{HUGE}"],
+    ["analyze", "--grid", f"linspace:0.5:2.5:{HUGE}"],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3, "--max-lag", HUGE],
+    ["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 1e-13],  # series depth 1.2e15
+], ids=lambda argv: " ".join(map(str, argv)))  # fmt: skip
+def test_size_above_memory_limit_exit_2(argv, rejected):
+    rejected(argv, 2, "bytes, above the 1073741824-byte limit")
+
+
+# flags that break a rule of the README, and the words of the one error line that names it
+@pytest.mark.parametrize("argv, words", argv_rows(
+    (["simulate", "arma11", "--phi", 0.8, "--n", 10, "--seed", 1],
+     "arma11 needs --phi and --theta"),
+    (["simulate", "maxma", "--n", 10, "--seed", 1], "maxma needs --psi or both --phi and --theta"),
+    (["simulate", "maxma", "--phi", 0.8, "--n", 10, "--seed", 1],
+     "maxma needs --psi or both --phi and --theta"),
+    (["analyze", "--tail-set", "upper:abc"], "bad tail set 'upper:abc'"),
+    (["analyze", "--window", "gauss:3"], "bad window 'gauss:3': expected daniell:S or custom:"),
+    (["analyze", "--grid", "list:1.2,0.6"], INCREASING),
+    (["analyze", "--grid", "list:1.0,1.0"], INCREASING),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3, "--grid",
+      "linspace:1:0.5:3"], INCREASING),
+    (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3, "--grid", "fourier"],
+     "fourier grid needs a series length"),
+))  # fmt: skip
+def test_broken_rule_exit_2_names_it(argv, words, rejected):
+    rejected(argv, 2, words)
 
 
 class TestSimulateCommand:
@@ -621,18 +499,25 @@ class TestSimulateCommand:
         assert len(data_rows(out)) == 100
 
     def test_bad_parameters_exit_2(self, rejected):
-        _reject_all(rejected, "TestSimulateCommand.test_bad_parameters_exit_2")
+        rejected(["simulate", "arma11", "--phi", 1.5, "--theta", 0.0], 2, "need 0 < |phi| < 1")
+        assert rejected(["simulate", "iid", "--n", 0], 2, "need n >= 1") == "error: need n >= 1"
 
     def test_bad_noise_exit_2(self, rejected):
-        _reject_all(rejected, "TestSimulateCommand.test_bad_noise_exit_2")
+        words = "bad noise spec 'cauchy': expected t:NU or pareto:ALPHA[:P]"
+        assert rejected(["simulate", "iid", "--noise", "cauchy"], 2, words) == "error: " + words
 
-    @_rows("TestSimulateCommand.test_negative_seed_exit_2")
-    def test_negative_seed_exit_2(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    @pytest.mark.parametrize("model", [
+        ["iid"], ["arma11", "--phi", 0.8, "--theta", 0.1],
+        ["sv", "--logvol-ar", 0.5, "--logvol-sd", 0.2], ["maxma", "--phi", 0.8, "--theta", 0.1],
+    ])  # fmt: skip
+    def test_negative_seed_exit_2(self, model, rejected):
+        assert rejected(["simulate", *model, "--seed", -1], 2, SEED) == "error: " + SEED
 
-    @_rows("TestSimulateCommand.test_non_finite_psi_exit_2")
-    def test_non_finite_psi_exit_2(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    @pytest.mark.parametrize("psi", ["1,nan", "1,inf", "0.5,-inf"])
+    def test_non_finite_psi_exit_2(self, psi, rejected):
+        words = "max-moving-average coefficients must be finite"
+        assert rejected(["simulate", "maxma", "--psi", psi], 2, words) == "error: " + words
+
 
 @pytest.fixture(scope="module")
 def sim_file(tmp_path_factory):
@@ -681,45 +566,88 @@ class TestAnalyzeCommand:
                     assert f"{v:.17g}" == cell
 
     def test_zero_exceedances_exit_3(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_zero_exceedances_exit_3")
+        rejected(["analyze", "--input", "negative.csv", "--q", 0.9], 3,
+                 "is not positive; too few positive observations for scaled tail events")
 
-    @_rows("TestAnalyzeCommand.test_bad_level_or_max_lag_exit_2_before_reading")
-    def test_bad_level_or_max_lag_exit_2_before_reading(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    def test_missing_input_exit_2(self, rejected, inputs):
+        words = f"input file not found: {inputs / 'missing.csv'}"
+        assert rejected(["analyze", *MISSING], 2, words) == "error: " + words
+
+    # the input does not exist: each flag below is rejected before it is read
+    @pytest.mark.parametrize(
+        "flag", [["--level", 0], ["--level", 1], ["--level", "nan"], ["--max-lag", -1]],
+        ids=lambda f: f"{f[0]}={f[1]}",
+    )
+    def test_bad_level_or_max_lag_exit_2_before_reading(self, flag, rejected):
+        rule = "level must lie in (0, 1)" if flag[0] == "--level" else "max lag must be nonnegative"
+        assert rejected(["analyze", *MISSING, *flag], 2, rule) == "error: " + rule
 
     def test_level_with_surrogate_band_exit_2_before_reading(self, rejected):
-        _reject_all(rejected,
-                    "TestAnalyzeCommand.test_level_with_surrogate_band_exit_2_before_reading")
+        # the surrogate band is a 95% band whatever the level, so another level is refused
+        words = "--level sets the permutation band; the surrogate band is 95% only"
+        argv = ["analyze", *MISSING, "--band", "surrogate", "--level", 0.3]
+        assert rejected(argv, 2, words) == "error: " + words
 
-    @_rows("TestAnalyzeCommand.test_bad_band_flag_exit_2_before_reading")
-    def test_bad_band_flag_exit_2_before_reading(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    @pytest.mark.parametrize(
+        "flag, words",
+        [(["--replicates", 1], "need at least two replicates"),
+         (["--band-seed", -1], "band seed must be a nonnegative integer")],
+        ids=["replicates", "seed"],
+    )
+    def test_bad_band_flag_exit_2_before_reading(self, flag, words, rejected):
+        argv = ["analyze", *MISSING, "--band", "permutation", *flag]
+        assert rejected(argv, 2, words) == "error: " + words
 
     def test_bad_grid_exit_2_before_reading(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_bad_grid_exit_2_before_reading")
+        # a grid that needs no series length is parsed before the read
+        words = "bad grid 'linspace:1:2': expected fourier[:N], linspace:A:B:K or list:l1,l2,..."
+        argv = ["analyze", *MISSING, "--grid", "linspace:1:2"]
+        assert rejected(argv, 2, words) == "error: " + words
 
     def test_no_tail_events_exit_3(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_no_tail_events_exit_3")
+        line = rejected(["analyze", "--tail-set", "upper:1e9"], 3, "no tail events")
+        assert line.startswith("error: no tail events")
 
-    @_rows("TestAnalyzeCommand.test_empty_grid_exit_2")
-    def test_empty_grid_exit_2(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    @pytest.mark.parametrize("grid", ["list:", "linspace:0.5:2.5:0", "fourier:2"])
+    def test_empty_grid_exit_2(self, grid, rejected):
+        words = f"bad grid '{grid}': frequency grid is empty"
+        assert rejected(["analyze", "--grid", grid], 2, words) == "error: " + words
 
-    def test_malformed_input_exit_2_names_line(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_malformed_input_exit_2_names_line")
+    def test_malformed_input_exit_2_names_line(self, rejected, inputs):
+        for bad, rule in (("three", "not a number"), ("nan", "non-finite value"),
+                          ("inf", "non-finite value"), ("-inf", "non-finite value")):
+            path = inputs / f"line3-{bad}.csv"
+            words = f"{path}: line 3: {rule}: '{bad}'"
+            assert rejected(["analyze", "--input", path], 2, words) == "error: " + words
 
-    def test_non_utf8_input_exit_2(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_non_utf8_input_exit_2")
+    def test_non_utf8_input_exit_2(self, rejected, inputs):
+        # the one byte that is not UTF-8 is in a comment line, then in the first data line
+        for name in ("latin1-comment.csv", "latin1.csv"):
+            rejected(["analyze", "--input", name], 2, f"{inputs / name}: not a UTF-8 text file")
 
     def test_negative_band_seed_exit_2(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_negative_band_seed_exit_2")
+        words = "band seed must be a nonnegative integer"
+        argv = ["analyze", "--q", 0.95, "--window", "daniell:10", "--grid", "list:0.8,1.2",
+                "--band", "permutation", "--replicates", 19, "--band-seed", -1]
+        assert rejected(argv, 2, words) == "error: " + words
 
-    @_rows("TestAnalyzeCommand.test_non_finite_window_weight_exit_2")
-    def test_non_finite_window_weight_exit_2(self, argv, code, words, rejected):
-        rejected(argv, code, words)
+    @pytest.mark.parametrize(
+        "window", ["custom:1,inf,1", "custom:1,nan,1", "custom:-inf", "custom:1e308,1e308,1e308"]
+    )
+    def test_non_finite_window_weight_exit_2(self, window, rejected):
+        rule = "have a finite sum" if "1e308" in window else "be finite"
+        words = f"bad window '{window}': weights must {rule}"
+        assert rejected(["analyze", "--window", window], 2, words) == "error: " + words
 
     def test_too_wide_window_exit_2(self, rejected):
-        _reject_all(rejected, "TestAnalyzeCommand.test_too_wide_window_exit_2")
+        # n = 4096: a half-width of n/2 leaves no admissible window on any grid
+        for grid, words in (
+            ("fourier", "series too short for this smoothing half-width"),
+            ("list:0.5,1.5",
+             "smoothing window of half-width 2048 around frequency 0.5 leaves (0, pi)"),
+        ):
+            argv = ["analyze", "--q", 0.95, "--window", "daniell:2048", "--grid", grid]
+            assert rejected(argv, 2, words).startswith("error: " + words)
 
     def test_window_leaving_0_pi_exit_2_before_the_direct_sums(self, rejected, monkeypatch):
         # off the Fourier grid of n the smoothed values come first: a window that
@@ -728,9 +656,9 @@ class TestAnalyzeCommand:
             raise AssertionError("the direct sums ran")
 
         monkeypatch.setattr(estimators, "_direct_sums", no_direct_sums)
-        line = rejected(["analyze", "--grid", "list:0.0001"], 2,
-                        "smoothing window of half-width 50 around frequency 0.0001 leaves (0, pi)")
-        assert line.startswith("error: smoothing window")
+        words = "smoothing window of half-width 50 around frequency 0.0001 leaves (0, pi)"
+        line = rejected(["analyze", "--grid", "list:0.0001"], 2, words)
+        assert line.startswith("error: " + words)
 
     def test_band_above_memory_limit_exit_2(self, rejected, monkeypatch):
         def no_seeds(*args, **kwargs):
@@ -769,8 +697,8 @@ class TestAnalyzeCommand:
 
         monkeypatch.setattr(inference, "surrogate_band", infinite_band)
         argv = ["analyze", "--q", 0.95, "--window", "daniell:10", "--band", "surrogate"]
-        line = rejected([*argv, "--format", "json"], 2, "spectrum column 'lower' holds an infinity")
-        assert line.startswith("error: spectrum column 'lower'")
+        words = "spectrum column 'lower' holds an infinity"
+        assert rejected([*argv, "--format", "json"], 2, words).startswith("error: " + words)
         # CSV writes infinities as text
         out = tmp_path / "csv"
         assert run([*argv, "--input", sim_file, "--out-dir", out]) == 0
@@ -977,10 +905,15 @@ class TestOracleCommand:
         _assert_finite_outputs("oracle", out)
 
     def test_empty_grid_exit_2(self, rejected):
-        _reject_all(rejected, "TestOracleCommand.test_empty_grid_exit_2")
+        for grid in ("list:", "fourier:2"):
+            words = f"bad grid '{grid}': frequency grid is empty"
+            assert rejected(["oracle", "arma11", "--grid", grid], 2, words) == "error: " + words
 
     def test_unsupported_case_exit_2(self, rejected):
-        _reject_all(rejected, "TestOracleCommand.test_unsupported_case_exit_2")
+        rejected(["oracle", "arma11", "--p", 0.0], 2, "requires upper tail mass p > 0")
+        # |phi|**alpha rounds to 1: the dependence never decays in floating point
+        argv = ["oracle", "arma11", "--phi", "0.9999999999999999", "--alpha", 0.001]
+        assert rejected(argv, 2, "|phi|**alpha rounds to 1").startswith("error: |phi|**alpha")
 
     def test_negative_max_lag_exit_2_before_the_grid(self, rejected, monkeypatch):
         # the lag curve is checked first: a bad --max-lag costs no pass over the grid
