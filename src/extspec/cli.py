@@ -39,6 +39,7 @@ from .core import (
 from .trigsums import SingularFrequencyError
 
 _CHUNK_CELLS = 2**12  # cells formatted per write: bounds the writer's memory
+_ORACLE_BLOCK = 2**13  # grid points per oracle evaluation: bounds its memory
 # analyze attributes that do not determine the numbers; the rest is recorded
 _NOT_PROVENANCE = ("command", "func", "out_dir")
 
@@ -120,18 +121,21 @@ def read_series_csv(path) -> np.ndarray:
     """Read a one-column CSV: ``#`` comments, one optional header row, an optional BOM.
 
     After the leading comment and header lines, numpy parses the rest in
-    one call.  Input that numpy rejects or reads as non-finite is read
-    again by the line reader, whose errors name the line.
+    one call; it is handed the path, which it reads in chunks, where a
+    handle would be read line by line.  Input that numpy rejects or reads
+    as non-finite is read again by the line reader, whose errors name the line.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
     try:
         with path.open(encoding="utf-8-sig") as fh:
-            if _skip_to_data(fh):
-                x = np.loadtxt(fh, delimiter=",", usecols=0, comments=None, ndmin=1)
-                if np.isfinite(x).all():
-                    return x
+            first = _skip_to_data(fh)
+        if first:
+            x = np.loadtxt(path, delimiter=",", usecols=0, comments=None, ndmin=1,
+                           skiprows=first - 1, encoding="utf-8-sig")
+            if np.isfinite(x).all():
+                return x
     except ValueError:
         pass
     return _read_series_lines(path)
@@ -460,14 +464,22 @@ def cmd_oracle(args) -> int:
     grid = parse_grid(args.grid)
 
     oracle = oracles.arma11_spectral_oracle(args.phi, args.theta, tail)
-    density = oracle.evaluate(grid.freqs)
-
     series_h = oracles.series_lag_for_accuracy(args.phi, args.alpha, 1e-12)
     filt = oracles.arma11_filter(args.phi, args.theta)
     series_rho = oracles.extremogram_linear(filt, tail, series_h)
     series_oracle = oracles.spectral_from_extremogram(series_rho)
-    gap = np.abs(density - series_oracle.evaluate(grid.freqs))
-    residual, rel_residual = float(np.max(gap)), float(np.max(gap / density))
+
+    # both routes are per frequency, so a block's values are the whole grid's bits;
+    # only the K-long density column outlives its block
+    density = np.empty(len(grid))
+    starts = range(0, len(grid), _ORACLE_BLOCK)
+    maxima = np.empty((2, len(starts)))  # the block maxima of the gap and its ratio
+    for i, lo in enumerate(starts):
+        freqs, block = grid.freqs[lo : lo + _ORACLE_BLOCK], density[lo : lo + _ORACLE_BLOCK]
+        block[:] = oracle.evaluate(freqs)
+        gap = np.abs(block - series_oracle.evaluate(freqs))
+        maxima[:, i] = np.max(gap), np.max(gap / block)
+    residual, rel_residual = (float(v) for v in np.max(maxima, axis=1))  # nan propagates
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -512,8 +524,18 @@ def cmd_oracle(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ParameterError for a flag it rejects: ``main`` prints one error line, not the usage.
+
+    Subparsers are made with their parent's class, so they inherit it.
+    """
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extspec",
         description="Frequency-domain analysis of serial extremal dependence",
     )

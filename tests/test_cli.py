@@ -344,16 +344,17 @@ def rejected(sim_file, inputs, tmp_path, capsys):
 
     The command must exit ``code`` and write nothing: one stderr line that starts
     with ``error: `` and holds ``words``, no traceback, no stdout and no output path.
-    An ``--input`` value names a file of ``inputs``.
+    An ``--input`` value names a file of ``inputs``.  ``base=False`` runs ``argv``
+    with its output path only: no BASE flags and no analyze input.
     """
     out = tmp_path / "out"
 
-    def check(argv, code, words):
+    def check(argv, code, words, base=True):
         command, *flags = argv
         flags = [inputs / a if prev == "--input" else a for prev, a in zip(["", *flags], flags)]
-        source = ["--input", sim_file] if command == "analyze" else []
+        source = [*BASE[command], *(["--input", sim_file] if command == "analyze" else [])]
         sink = ["--out" if command == "simulate" else "--out-dir", out]
-        assert run([command, *BASE[command], *source, *flags, *sink]) == code
+        assert run([command, *(source if base else []), *flags, *sink]) == code
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert "Traceback" not in captured.err
@@ -462,6 +463,43 @@ def test_size_above_memory_limit_exit_2(argv, rejected):
 ))  # fmt: skip
 def test_broken_rule_exit_2_names_it(argv, words, rejected):
     rejected(argv, 2, words)
+
+
+# flags that argparse itself rejects: a bad choice, a value of the wrong type, an
+# unknown or incomplete flag.  Each prints the one error line, not argparse's usage
+@pytest.mark.parametrize("argv, words", argv_rows(
+    (["analyze", "--band", "bogus"], "argument --band: invalid choice: 'bogus'"),
+    (["analyze", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["analyze", "--max-lag", "abc"], "argument --max-lag: invalid int value: 'abc'"),
+    (["analyze", "--bogus", 1], "unrecognized arguments: --bogus 1"),
+    (["simulate", "garch"], "argument model: invalid choice: 'garch'"),
+    (["simulate", "iid", "--n", 1.5], "argument --n: invalid int value: '1.5'"),
+    (["simulate"], "the following arguments are required: model"),
+    (["oracle"], "the following arguments are required: model"),
+    (["oracle", "arma11", "--alpha", "three"], "argument --alpha: invalid float value: 'three'"),
+    (["oracle", "arma11", "--phi"], "argument --phi: expected one argument"),
+))  # fmt: skip
+def test_argparse_rejection_exit_2(argv, words, rejected):
+    rejected(argv, 2, words)
+
+
+@pytest.mark.parametrize("argv, words", argv_rows(
+    (["simulate", "iid"], "the following arguments are required: --n, --seed"),
+    (["analyze"], "the following arguments are required: --input"),
+    (["oracle", "arma11", "--phi", 0.8], "the following arguments are required: --theta, --alpha"),
+))  # fmt: skip
+def test_missing_required_flag_exit_2(argv, words, rejected):
+    rejected(argv, 2, words, base=False)
+
+
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["analyze"], ["oracle"]],
+                         ids=lambda argv: " ".join(argv) or "extspec")
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: extspec") and not captured.err
 
 
 class TestSimulateCommand:
@@ -749,7 +787,7 @@ def _analyze_peak(tmp_path, n, *flags):
 
 @pytest.mark.parametrize("band, per_value", [("none", 40), ("surrogate", 41), ("permutation", 114)])
 def test_analyze_peak_memory(band, per_value, tmp_path):
-    # traced peak of the whole CSV pipeline at n = 2^16, measured at 36.9n, 37.1n and
+    # traced peak of the whole CSV pipeline at n = 2^16, measured at 37.8n, 37.1n and
     # 109.8n bytes: a stage that keeps one more n-long array alive fails it
     n = 2**16
     assert _analyze_peak(tmp_path, n, "--band", band) <= per_value * n
@@ -785,18 +823,26 @@ def _oracle_peak(tmp_path, phi, theta, k):
 
 
 def test_oracle_peak_memory(tmp_path):
-    # traced peak of the whole command on K = 2^16 points, measured at 56.8 bytes a
-    # point: the closed form, the series check and the writer's chunks.  One more
-    # grid-length array alive (8 bytes a point) fails it
+    # traced peak of the whole command on K = 2^16 points, measured at 28.7 bytes a
+    # point (31.2 as a process's first command): the grid, the density column, one
+    # block of the closed form and the series check, and the writer's chunks.  One
+    # more grid-length array alive (8 bytes a point) fails it
     k = 2**16
-    assert _oracle_peak(tmp_path, 0.8, 0.1, k) <= 62 * k
+    assert _oracle_peak(tmp_path, 0.8, 0.1, k) <= 34 * k
 
 
 @pytest.mark.parametrize("phi, theta", [(0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
 def test_oracle_peak_memory_other_signs(phi, theta, tmp_path):
-    # the other three oracle-dense sign cases, measured at 56.5-56.7 bytes a point
+    # the other three oracle-dense sign cases, measured at 28.6-28.8 bytes a point
     k = 2**16
-    assert _oracle_peak(tmp_path, phi, theta, k) <= 62 * k
+    assert _oracle_peak(tmp_path, phi, theta, k) <= 34 * k
+
+
+def test_oracle_peak_memory_growth(tmp_path):
+    # from K = 2^16 to 2^18 the peak grows by 16.0 bytes a point, the grid and the
+    # density column; a block's arrays do not grow with K
+    small, large = (_oracle_peak(tmp_path, 0.8, 0.1, k) for k in (2**16, 2**18))
+    assert large - small <= 17 * (2**18 - 2**16)
 
 
 class TestAnalyzeAgreesWithLibrary:
@@ -903,6 +949,20 @@ class TestOracleCommand:
         assert run(["oracle", "arma11", "--phi=-1e-200", "--theta", 2, "--alpha", 1,
                     "--out-dir", out]) == 0
         _assert_finite_outputs("oracle", out)
+
+    @pytest.mark.parametrize("phi, theta", [(0.8, 0.1), (0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
+    def test_blocks_leave_the_bytes_unchanged(self, phi, theta, tmp_path, monkeypatch):
+        # blocks of 7 and 1,000 points put seams inside the 5,000-point grid, where one
+        # block of 5,000 has none; the golden grids (3 and 512 points) meet no seam
+        outputs = []
+        for block in (5000, 7, 1000):
+            monkeypatch.setattr(cli, "_ORACLE_BLOCK", block)
+            out = tmp_path / str(block)
+            assert run(["oracle", "arma11", "--phi", phi, "--theta", theta, "--alpha", 3,
+                        "--grid", "linspace:0.001:3.14:5000", "--out-dir", out]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("oracle_spectrum.csv", "oracle_extremogram.csv", "manifest.json")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_empty_grid_exit_2(self, rejected):
         for grid in ("list:", "fourier:2"):
@@ -1068,10 +1128,7 @@ class TestArgvProperty:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the flag itself
-                    code = exc.code
+                code = main(argv)  # argparse's own rejections return 2 as well
         err = stderr.getvalue()
         assert code in (0, 2, 3), (argv, err)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
@@ -1079,7 +1136,8 @@ class TestArgvProperty:
         if code == 0:
             _assert_finite_outputs(argv[0], out)
         else:
-            assert sum("error: " in line for line in err.splitlines()) == 1, (argv, err)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
 
 
 # ---------------------------------------------------------------------------
