@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.fft  # noqa: F401  numpy 2 loads it on first use; load it with the package
+import numpy.fft  # noqa: F401  every analyze transforms; the module costs about 1 ms, 0.1 MB
 
 from .core import (
     DegenerateDataError,

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import (
     DegenerateDataError,

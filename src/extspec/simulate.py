@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy 2 loads it on first use; load it with the package
 
 from .core import ParameterError, require_bytes, require_finite
 from .oracles import TailIndexSpec, _check_arma11

@@ -9,7 +9,13 @@ from extspec.core import two_product
 
 
 def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    """Peak bytes that tracemalloc traces while ``fn()`` runs.
+
+    numpy.random loads on a command's first draw; it is loaded before tracing starts,
+    so that the peak counts the command's arrays and not the module's import.
+    """
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         fn()

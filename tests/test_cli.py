@@ -1141,38 +1141,69 @@ class TestArgvProperty:
 
 
 # ---------------------------------------------------------------------------
-# start-up: importing the CLI loads numpy and the package only, and running a
-# command imports no further scipy or numpy module
+# start-up: importing the CLI loads numpy, numpy.fft and the package only; a command
+# loads numpy.random when it first draws, and no command loads scipy
 
 STARTUP_PROBE = """
 import json, sys
+import numpy
+before = set(sys.modules)
 import extspec.cli
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded on import"
-before = set(sys.modules)
-for argv in json.loads(sys.argv[1]):
-    assert extspec.cli.main(argv) == 0, argv
-late = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("scipy", "numpy"))
-print(json.dumps(late))
+loaded = [sorted(set(sys.modules) - before)]
+for argv, code in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    assert extspec.cli.main(argv) == code, argv
+    loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps(loaded))
 """
 
+ANALYZE = ["analyze", "--input", "x.csv", "--out-dir", "out", "--window", "daniell:5"]
+PERMUTATION = [*ANALYZE, "--band", "permutation", "--replicates", "19"]
 
-def test_commands_import_no_scipy_or_numpy_module(tmp_path):
-    x, out = str(tmp_path / "x.csv"), str(tmp_path / "out")
-    analyze = ["analyze", "--input", x, "--out-dir", out, "--window", "daniell:5"]
-    commands = [
-        ["simulate", "sv", "--logvol-ar", "0.5", "--logvol-sd", "0.3", "--n", "512", "--seed", "1",
-         "--out", x],
-        ["simulate", "arma11", "--phi", "0.8", "--theta", "0.1", "--n", "2048", "--seed", "1",
-         "--out", x],
-        [*analyze, "--band", "surrogate"],
-        [*analyze, "--band", "permutation", "--replicates", "19"],
-        ["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3", "--out-dir", out],
-    ]
+
+def _simulate(model, *flags):
+    return ["simulate", model, *flags, "--n", "512", "--seed", "1", "--out", "y.csv"]
+
+
+# (argv, exit code) rows run in one fresh interpreter; ``draws`` lets them load numpy.random
+NO_DRAW = [
+    (["oracle", "arma11", "--phi", "0.8", "--theta", "0.1", "--alpha", "3", "--out-dir", "out"], 0),
+    *[([*ANALYZE, "--band", band, "--format", fmt], 0)
+      for band in ("none", "surrogate") for fmt in ("csv", "json")],
+    (["simulate", "iid", "--n", "0", "--seed", "1", "--out", "y.csv"], 2),
+    ([*PERMUTATION, "--replicates", "0"], 2),
+]
+DRAWS = {
+    "simulate-iid": _simulate("iid"),
+    "simulate-arma11": _simulate("arma11", "--phi", "0.8", "--theta", "0.1"),
+    "simulate-sv": _simulate("sv", "--logvol-ar", "0.5", "--logvol-sd", "0.3"),
+    "simulate-maxma": _simulate("maxma", "--psi", "1,0.5"),
+    "analyze-permutation": PERMUTATION,
+}
+
+
+def _is_random(module):
+    return module == "numpy.random" or module.startswith("numpy.random.")
+
+
+@pytest.mark.parametrize(("commands", "draws"), [
+    pytest.param(NO_DRAW, False, id="no-draw"),
+    *[pytest.param([(argv, 0)], True, id=name) for name, argv in DRAWS.items()],
+])
+def test_only_drawing_commands_load_numpy_random(commands, draws, sim_file, tmp_path):
+    # the analyze input is written here, so that the probe draws nothing before its commands;
+    # each module set is taken after ``import numpy``, which on numpy 1.x loads numpy.random
+    (tmp_path / "x.csv").write_bytes(sim_file.read_bytes())
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    on_import, *per_command = json.loads(proc.stdout.splitlines()[-1])
+    assert not [m for m in on_import if _is_random(m)]
+    for (argv, _), late in zip(commands, per_command, strict=True):
+        late = [m for m in late if m.split(".")[0] in ("scipy", "numpy")]
+        assert [m for m in late if not (draws and _is_random(m))] == [], argv
