@@ -359,8 +359,7 @@ def run_analysis(args) -> dict:
     """Execute the pipeline on parsed ``analyze`` flags; returns the manifest."""
     if args.max_lag < 0:
         raise ParameterError("max lag must be nonnegative")
-    if not 0.0 < args.level < 1.0:
-        raise ParameterError("level must lie in (0, 1)")
+    inference._check_level(args.level)
     if args.band == "surrogate" and args.level != 0.05:
         raise ParameterError("--level sets the permutation band; the surrogate band is 95% only")
     if args.band == "permutation":
@@ -461,7 +460,7 @@ def cmd_oracle(args) -> int:
     tail = oracles.TailIndexSpec(alpha=args.alpha, upper_share=args.p)
     # the short lag curve first: a bad --max-lag fails before the grid costs anything
     rho_closed = oracles.arma11_extremogram_curve(args.phi, args.theta, tail, args.max_lag).rho
-    grid = parse_grid(args.grid)
+    freqs = parse_grid(args.grid).freqs  # a Fourier grid's indices die here
 
     oracle = oracles.arma11_spectral_oracle(args.phi, args.theta, tail)
     series_h = oracles.series_lag_for_accuracy(args.phi, args.alpha, 1e-12)
@@ -471,13 +470,13 @@ def cmd_oracle(args) -> int:
 
     # both routes are per frequency, so a block's values are the whole grid's bits;
     # only the K-long density column outlives its block
-    density = np.empty(len(grid))
-    starts = range(0, len(grid), _ORACLE_BLOCK)
+    density = np.empty(freqs.size)
+    starts = range(0, freqs.size, _ORACLE_BLOCK)
     maxima = np.empty((2, len(starts)))  # the block maxima of the gap and its ratio
     for i, lo in enumerate(starts):
-        freqs, block = grid.freqs[lo : lo + _ORACLE_BLOCK], density[lo : lo + _ORACLE_BLOCK]
-        block[:] = oracle.evaluate(freqs)
-        gap = np.abs(block - series_oracle.evaluate(freqs))
+        lam, block = freqs[lo : lo + _ORACLE_BLOCK], density[lo : lo + _ORACLE_BLOCK]
+        block[:] = oracle.evaluate(lam)
+        gap = np.abs(block - series_oracle.evaluate(lam))
         maxima[:, i] = np.max(gap), np.max(gap / block)
     residual, rel_residual = (float(v) for v in np.max(maxima, axis=1))  # nan propagates
 
@@ -490,7 +489,7 @@ def cmd_oracle(args) -> int:
     _write_table(
         out_dir / "oracle_spectrum.csv",
         [params_line, f"provenance = {oracle.provenance}"],
-        {"lambda": grid.freqs, "density": density},
+        {"lambda": freqs, "density": density},
     )
     _write_table(
         out_dir / "oracle_extremogram.csv",

@@ -289,12 +289,9 @@ def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
     j0 is the first Fourier index of n whose frequency is at or above the
     target frequency.  The first target whose window would leave (0, pi)
     is rejected; the error message reports the largest admissible
-    half-width around that target.
+    half-width around that target, or that none fits for this n.
+    ``s`` is a ``WeightWindow.half_width``, so it is nonnegative.
     """
-    if s < 0:
-        raise ParameterError("smoothing half-width must be nonnegative")
-    if n < 2:
-        raise InputError("need at least two observations")
     lam = np.atleast_1d(np.asarray(targets, dtype=float))
     inside = (lam > 0.0) & (lam < math.pi)
     # lam*n/(2*pi) misses j by a few ulps when lam = 2*pi*j/n (four
@@ -308,9 +305,10 @@ def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
         if not inside[i]:
             raise ParameterError("target frequency must lie in (0, pi)")
         s_max = min(int(j0[i]) - 1, j_hi_max - int(j0[i]))
+        fit = f"the maximum half-width here is {s_max}"
         raise ParameterError(
-            f"smoothing window of half-width {s} around frequency {lam[i]:g} "
-            f"leaves (0, pi); the maximum half-width here is {max(s_max, 0)}"
+            f"smoothing window of half-width {s} around frequency {lam[i]:g} leaves (0, pi); "
+            + (fit if s_max >= 0 else f"no window around it fits for n = {n}")
         )
     return j0 - s
 

@@ -68,14 +68,22 @@ class StudentT:
 NoiseSpec = Union[ParetoBalanced, StudentT]
 
 
+def _draw_length(n: int, burnin: int = 0) -> int:
+    """The n + burnin values a model draws before it keeps the last n."""
+    if n < 1:
+        raise ParameterError("need n >= 1")
+    if burnin < 0:
+        raise ParameterError("burn-in must be nonnegative")
+    return n + burnin
+
+
 def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. noise values.
 
     Student t variates are built as a standard normal over the root of a
     scaled chi-square, both from the seeded generator.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    _draw_length(n)
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     require_bytes(n, f"{n} noise values")
@@ -97,12 +105,11 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
     raise ParameterError(f"unknown noise spec {spec!r}")
 
 
-def default_burnin(*coefs: float) -> int:
+def default_burnin(c: float) -> int:
     """Burn-in long enough to wash out geometric memory: max(1000, 50/(1-|c|))."""
-    worst = max((abs(c) for c in coefs), default=0.0)
-    if worst >= 1.0:
+    if abs(c) >= 1.0:
         raise ParameterError("memory coefficient must satisfy |c| < 1")
-    return max(1000, math.ceil(50.0 / (1.0 - worst)))
+    return max(1000, math.ceil(50.0 / (1.0 - abs(c))))
 
 
 @dataclass(frozen=True)
@@ -214,13 +221,8 @@ def simulate_arma11(spec: Arma11Spec, n: int, seed: int, burnin: int | None = No
     values are discarded (default: long enough for the geometric memory
     to die out).
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    if burnin is None:
-        burnin = default_burnin(spec.phi)
-    if burnin < 0:
-        raise ParameterError("burn-in must be nonnegative")
-    z = sample_noise(spec.noise, n + burnin, seed)
+    burnin = default_burnin(spec.phi) if burnin is None else burnin
+    z = sample_noise(spec.noise, _draw_length(n, burnin), seed)
     x = _first_order_filter(z, spec.theta, spec.phi)
     return require_finite(x[burnin:], _OVERFLOW)
 
@@ -254,13 +256,8 @@ def simulate_sv(spec: SvSpec, n: int, seed: int, burnin: int | None = None) -> n
     volatility stream uses a derived child seed.  V starts from its
     stationary distribution.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
-    if burnin is None:
-        burnin = default_burnin(spec.logvol_ar)
-    if burnin < 0:
-        raise ParameterError("burn-in must be nonnegative")
-    total = n + burnin
+    burnin = default_burnin(spec.logvol_ar) if burnin is None else burnin
+    total = _draw_length(n, burnin)
     z = sample_noise(spec.noise, total, seed)
     vol_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     a = spec.logvol_ar
@@ -304,11 +301,9 @@ def simulate_max_ma(spec: MaxMaSpec, n: int, seed: int) -> np.ndarray:
     The noise buffer is extended on the left by len(psi) - 1 values so
     that every output uses a full coefficient window.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
     psi = np.asarray(spec.psi, dtype=float)
     s = psi.size - 1
-    z = sample_noise(spec.noise, n + s, seed)
+    z = sample_noise(spec.noise, _draw_length(n, s), seed)
     x = np.full(n, -np.inf)
     for i, c in enumerate(psi):
         np.maximum(x, c * z[s - i : s - i + n], out=x)

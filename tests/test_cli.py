@@ -329,6 +329,7 @@ def inputs(tmp_path_factory):
     for bad in ("three", "nan", "inf", "-inf"):
         (root / f"line3-{bad}.csv").write_text(f"1\n2\n{bad}\n")
     (root / "negative.csv").write_text("".join(f"{-v}\n" for v in range(1, 201)))
+    (root / "one.csv").write_text("5.0\n")
     return root
 
 
@@ -413,6 +414,18 @@ def argv_rows(*rows):
     # a closed-form coefficient is 0 * inf: |phi|**2 underflows, |phi+theta|/|phi| overflows
     (["oracle", "arma11", "--phi=-1e-200", "--theta=-1e201", "--alpha", 1],
      "the closed form overflows"),
+    # p = 0 leaves only |phi+theta|**alpha in the pos_neg denominator, and it underflows
+    (["oracle", "arma11", "--phi", 0.5, "--theta", -0.5000000001, "--alpha", 40, "--p", 0],
+     "|phi+theta|**alpha underflows for theta=-0.5000000001"),
+    (["simulate", "sv", "--logvol-ar", 0.5, "--n", 0], "need n >= 1"),
+    (["simulate", "maxma", "--psi", "1,0.5", "--n", 0], "need n >= 1"),
+    (["simulate", "arma11", "--phi", 0.5, "--theta", 0.1, "--burnin", -1],
+     "burn-in must be nonnegative"),
+    (["simulate", "sv", "--logvol-ar", 0.5, "--burnin", -1], "burn-in must be nonnegative"),
+    (["simulate", "sv", "--logvol-sd", -1], "log-volatility innovation sd must be nonnegative"),
+    (["simulate", "maxma", "--psi", ","], "coefficient list is empty"),
+    (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", 0],
+     "relative tolerance must be positive"),
 ))  # fmt: skip
 def test_bad_model_parameters_exit_2(argv, words, rejected):
     rejected(argv, 2, words)
@@ -460,6 +473,20 @@ def test_size_above_memory_limit_exit_2(argv, rejected):
       "linspace:1:0.5:3"], INCREASING),
     (["oracle", "arma11", "--phi", 0.8, "--theta", 0.1, "--alpha", 3, "--grid", "fourier"],
      "fourier grid needs a series length"),
+    (["analyze", "--tail-set", "lower:0"],
+     "bad tail set 'lower:0': LowerRay endpoint must be positive"),
+    (["analyze", "--window", "custom:0,0,0"],
+     "bad window 'custom:0,0,0': weights must not all vanish"),
+    (["analyze", "--window", "daniell:-1"],
+     "bad window 'daniell:-1': half-width must be nonnegative"),
+    # no half-width fits: past the last Fourier frequency of n = 4096, and at n = 1
+    (["analyze", "--window", "daniell:0", "--grid", "list:3.1415"],
+     "smoothing window of half-width 0 around frequency 3.1415 leaves (0, pi); "
+     "no window around it fits for n = 4096"),
+    (["analyze", "--input", "one.csv", "--q", 1e-10, "--tail-set", "interval:0.5:2",
+      "--window", "daniell:0", "--grid", "list:1"],
+     "smoothing window of half-width 0 around frequency 1 leaves (0, pi); "
+     "no window around it fits for n = 1"),
 ))  # fmt: skip
 def test_broken_rule_exit_2_names_it(argv, words, rejected):
     rejected(argv, 2, words)
@@ -815,10 +842,10 @@ def test_simulate_peak_memory(model, flags, per_value, tmp_path):
     assert traced_peak(lambda: run(argv)) <= per_value * n
 
 
-def _oracle_peak(tmp_path, phi, theta, k):
-    """Traced peak bytes of ``oracle arma11`` at alpha 3 on k grid points."""
+def _oracle_peak(tmp_path, phi, theta, k, grid=None):
+    """Traced peak bytes of ``oracle arma11`` at alpha 3 on k grid points (linspace by default)."""
     argv = ["oracle", "arma11", "--phi", phi, "--theta", theta, "--alpha", 3,
-            "--grid", f"linspace:0.001:3.14:{k}", "--out-dir", tmp_path / "o"]
+            "--grid", grid or f"linspace:0.001:3.14:{k}", "--out-dir", tmp_path / "o"]
     return traced_peak(lambda: run(argv))
 
 
@@ -829,6 +856,10 @@ def test_oracle_peak_memory(tmp_path):
     # more grid-length array alive (8 bytes a point) fails it
     k = 2**16
     assert _oracle_peak(tmp_path, 0.8, 0.1, k) <= 34 * k
+    # the 2^16 - 1 points of fourier:131072, measured at 28.8 bytes a point: a Fourier
+    # grid's int64 indices (8 bytes a point), which oracle never reads, must die at the parse
+    k = 2**16 - 1
+    assert _oracle_peak(tmp_path, 0.8, 0.1, k, grid="fourier:131072") <= 34 * k
 
 
 @pytest.mark.parametrize("phi, theta", [(0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
