@@ -295,9 +295,11 @@ def smoothing_window_starts(targets, n: int, s: int) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(targets, dtype=float))
     inside = (lam > 0.0) & (lam < math.pi)
     # lam*n/(2*pi) misses j by a few ulps when lam = 2*pi*j/n (four
-    # roundings), so the slack is relative; the 1e-12 floor serves small j
+    # roundings), so the slack is relative; the 1e-12 floor serves small j.
+    # j0 is at least 1 for any target in (0, pi), however small
     x = np.where(inside, lam, 0.0) * n / (2.0 * math.pi)
-    j0 = np.ceil(x - np.maximum(1e-12, 1e-15 * x)).astype(np.int64)
+    j0 = np.ceil(x - np.maximum(1e-12, 1e-15 * x))
+    j0 = np.maximum(j0, 1.0, out=j0).astype(np.int64)
     j_hi_max = (n - 1) // 2  # largest j with 2*pi*j/n < pi
     bad = ~inside | (j0 <= s) | (j0 > j_hi_max - s)
     if np.any(bad):

@@ -324,6 +324,11 @@ def arma11_spectral_oracle(phi: float, theta: float, tail: TailIndexSpec) -> Spe
 def series_lag_for_accuracy(phi: float, alpha: float, eps: float = 1e-12) -> int:
     """Smallest H with |phi|**(alpha*H) < eps: truncation depth for the series route."""
     _check_arma11(phi)
+    TailIndexSpec(alpha)  # alpha positive and finite
     if not (0 < eps < 1):
         raise ParameterError("eps must lie in (0, 1)")
-    return max(1, math.ceil(math.log(eps) / (alpha * math.log(abs(phi)))))
+    rate = alpha * math.log(abs(phi))  # negative, or 0.0 where it underflows
+    depth = math.log(eps) / rate if rate else math.inf
+    if not math.isfinite(depth):
+        raise ParameterError(f"series truncation depth is infinite at phi={phi!r}, alpha={alpha!r}")
+    return max(1, math.ceil(depth))

@@ -107,7 +107,7 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
 
 def default_burnin(c: float) -> int:
     """Burn-in long enough to wash out geometric memory: max(1000, 50/(1-|c|))."""
-    if abs(c) >= 1.0:
+    if not abs(c) < 1.0:  # nan too
         raise ParameterError("memory coefficient must satisfy |c| < 1")
     return max(1000, math.ceil(50.0 / (1.0 - abs(c))))
 

@@ -44,6 +44,7 @@ from extspec import (
     inference,
     oracles,
     permutation_band,
+    simulate,
     simulate_arma11,
     smoothed_at_frequencies,
     smoothed_curve,
@@ -801,79 +802,170 @@ class TestAnalyzeCommand:
         assert len(data_rows(out / "spectrum.csv")) == 9 + 1
 
 
-def _analyze_peak(tmp_path, n, *flags):
-    """Traced peak bytes of ``analyze`` on an ARMA(1,1) draw of n values."""
-    path = tmp_path / "x.csv"
-    assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
-                "--n", n, "--seed", 1, "--out", path]) == 0
-    args = cli.build_parser().parse_args(
-        ["analyze", "--input", str(path), "--out-dir", str(tmp_path / "o"), *flags]
-    )
-    return traced_peak(lambda: cli.run_analysis(args))
+_ANALYZE = ["analyze", "--input", "{series}/x{n}.csv", "--out-dir", "{out}"]
+_DRAW = ["--n", "{n}", "--seed", 1, "--out", "{out}/x.csv"]
+_ORACLE = ["oracle", "arma11", "--alpha", 3, "--out-dir", "{out}"]
+_LINSPACE = ["--grid", "linspace:0.001:3.14:{n}"]
+N14, N16, N18 = 2**14, 2**16, 2**18
+
+# Every end-to-end memory bound, keyed by test and then by test id.  A row is (argv,
+# small size, large size, slope bound in bytes a value, intercept bound in bytes, peak
+# bound a value at the large size).  In the argv, {n} is the size, {m} is 2n + 2 (whose
+# Fourier grid has n points), {out} an output directory and {series} the directory of
+# ``peak_series``.  A peak at one size mixes the cost a value with fixed costs, mostly
+# the writer's chunk of _CHUNK_CELLS cells (about 0.8 MB), so an extra n-long array
+# could hide in the slack that fixed costs leave; ``check_peak`` holds the slope and the
+# intercept apart.  A slope bound is the measured slope rounded up, plus 2 (17 on the
+# oracle's linspace rows), so one more n-long float64 array (8 bytes a value) fails it.
+# An intercept bound lies about 0.1 MB above the measured intercept, so one more writer
+# chunk fails it.  The comments give the measured slope and intercept; with what ran
+# before, these move by up to 0.4 bytes a value and 20 kB.
+PEAK_ROWS = {
+    "analyze": {
+        "none-40": (_ANALYZE + ["--band", "none"], N14, N16, 28, 0.88e6, 40),  # 25.1, 781 kB
+        "surrogate-41": (_ANALYZE + ["--band", "surrogate"],
+                         N14, N16, 29, 0.85e6, 41),  # 26.2, 748 kB
+        # the band keeps order statistics of its replicate curves: 110.1, 23 kB
+        "permutation-114": (_ANALYZE + ["--band", "permutation"], N14, N16, 113, 0.12e6, 114),
+    },
+    "analyze_json": {
+        "none-36": (_ANALYZE + ["--band", "none", "--format", "json"],
+                    N14, N16, 27, 0.63e6, 36),  # 24.8, 526 kB
+        "surrogate-41": (_ANALYZE + ["--band", "surrogate", "--format", "json"],
+                         N14, N16, 31, 0.70e6, 41),  # 28.5, 599 kB
+        "permutation-114": (_ANALYZE + ["--band", "permutation", "--format", "json"],
+                            N14, N16, 113, 0.12e6, 114),  # 110.1, 23 kB
+    },
+    "simulate": {  # the draw, the filter and the writer's chunks
+        "iid-21": (["simulate", "iid", *_DRAW], N14, N16, 10, 0.87e6, 21),  # 7.8, 774 kB
+        "arma11-22": (["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, *_DRAW],
+                      N14, N16, 10, 0.88e6, 22),  # 7.8, 783 kB
+        "sv-28": (["simulate", "sv", "--logvol-ar", 0.8, "--logvol-sd", 0.5, *_DRAW],
+                  N14, N16, 18, 0.75e6, 28),  # 16.0, 651 kB
+        # at |a| 0.99 and 0.9 the filter has too few lanes and takes the plain loop
+        "arma11-plain-loop-25": (["simulate", "arma11", "--phi", 0.99, "--theta", 0.1, *_DRAW],
+                                 N14, N16, 12, 0.88e6, 25),  # 9.7, 783 kB
+        "sv-plain-loop-32": (["simulate", "sv", "--logvol-ar", 0.9, "--logvol-sd", 0.5, *_DRAW],
+                             N14, N16, 22, 0.69e6, 32),  # 19.9, 587 kB
+        "maxma-26": (["simulate", "maxma", "--psi", "1,0.5,0.25", *_DRAW],
+                     N14, N16, 17, 0.77e6, 26),  # 14.3, 666 kB
+        "maxma-filter-26": (["simulate", "maxma", "--phi", 0.8, "--theta", 0.1, *_DRAW],
+                            N14, N16, 17, 0.77e6, 26),  # 14.4, 666 kB
+    },
+    # oracle at alpha 3 on K points: the grid, the density column, one block of the
+    # closed form and the series check, and the writer's chunks
+    "oracle": {
+        "linspace": (_ORACLE + ["--phi", 0.8, "--theta", 0.1, *_LINSPACE],
+                     N16, N18, 17, 0.94e6, 21),  # 16.0, 823-842 kB
+        # FrequencyGrid.__post_init__ checks a Fourier grid by recomputing its frequencies
+        # from the indices, so fourier_grid alone peaks at 25 bytes a point: 24.0, 321 kB
+        "fourier": (_ORACLE + ["--phi", 0.8, "--theta", 0.1, "--grid", "fourier:{m}"],
+                    2**16 - 1, 2**18 - 1, 26, 0.41e6, 27),
+    },
+    "oracle_other_signs": {  # the other three oracle-dense sign cases: 16.0, 825-841 kB
+        f"{phi}-{theta}": (_ORACLE + ["--phi", phi, "--theta", theta, *_LINSPACE],
+                           N16, N18, 17, 0.94e6, 21)
+        for phi, theta in [(0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)]
+    },
+}
 
 
-@pytest.mark.parametrize("band, per_value", [("none", 40), ("surrogate", 41), ("permutation", 114)])
-def test_analyze_peak_memory(band, per_value, tmp_path):
-    # traced peak of the whole CSV pipeline at n = 2^16, measured at 37.8n, 37.1n and
-    # 109.8n bytes: a stage that keeps one more n-long array alive fails it
-    n = 2**16
-    assert _analyze_peak(tmp_path, n, "--band", band) <= per_value * n
+def _fill(argv, n, out, series):
+    return [str(a).format(n=n, m=2 * n + 2, out=out, series=series) for a in argv]
 
 
-@pytest.mark.parametrize("band, per_value", [("none", 36), ("surrogate", 41), ("permutation", 114)])
-def test_analyze_json_peak_memory(band, per_value, tmp_path):
-    # the same with JSON output, measured at 32.4n, 37.1n and 109.8n bytes
-    n = 2**16
-    assert _analyze_peak(tmp_path, n, "--band", band, "--format", "json") <= per_value * n
+@pytest.fixture(scope="module")
+def peak_series(tmp_path_factory):
+    """The analyze rows' inputs: an ARMA(1,1) draw of each size, x{n}.csv."""
+    root = tmp_path_factory.mktemp("peak")
+    for n in (N14, N16):
+        assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
+                    "--n", n, "--seed", 1, "--out", root / f"x{n}.csv"]) == 0
+    return root
 
 
-@pytest.mark.parametrize("model, flags, per_value", [
-    ("arma11", ["--phi", 0.8, "--theta", 0.1], 22),
-    ("sv", ["--logvol-ar", 0.8, "--logvol-sd", 0.5], 28),
-    ("arma11", ["--phi", 0.99, "--theta", 0.1], 25),
-    ("sv", ["--logvol-ar", 0.9, "--logvol-sd", 0.5], 32),
-], ids=["arma11-22", "sv-28", "arma11-plain-loop-25", "sv-plain-loop-32"])  # fmt: skip
-def test_simulate_peak_memory(model, flags, per_value, tmp_path):
-    # traced peak of the whole command at n = 2^16, measured at 19.9n and 26.1n bytes:
-    # the draw, the filter's lanes and the writer's chunks.  At |a| 0.99 and 0.9 the
-    # filter has too few lanes and takes the plain loop, measured at 21.8n and 28.9n
-    n = 2**16
-    argv = ["simulate", model, *flags, "--n", n, "--seed", 1, "--out", tmp_path / "x.csv"]
-    assert traced_peak(lambda: run(argv)) <= per_value * n
+def check_peak(row, series, out):
+    """Hold a row's traced peaks at its two sizes to its slope, intercept and peak bounds.
+
+    One untraced run first, so that no peak depends on what ran before it.
+    """
+    argv, small, large, slope_bound, intercept_bound, per_value = row
+    assert run(_fill(argv, small, out, series)) == 0
+    peak = {n: traced_peak(lambda: run(_fill(argv, n, out, series))) for n in (small, large)}
+    slope = (peak[large] - peak[small]) / (large - small)
+    intercept = peak[small] - slope * small
+    assert slope <= slope_bound, f"{slope:.2f} bytes a value"
+    assert intercept <= intercept_bound, f"{intercept:.0f} fixed bytes"
+    assert peak[large] <= per_value * large, f"{peak[large] / large:.2f} bytes a value"
 
 
-def _oracle_peak(tmp_path, phi, theta, k, grid=None):
-    """Traced peak bytes of ``oracle arma11`` at alpha 3 on k grid points (linspace by default)."""
-    argv = ["oracle", "arma11", "--phi", phi, "--theta", theta, "--alpha", 3,
-            "--grid", grid or f"linspace:0.001:3.14:{k}", "--out-dir", tmp_path / "o"]
-    return traced_peak(lambda: run(argv))
+def peak_rows(test):
+    return pytest.mark.parametrize("row", PEAK_ROWS[test].values(), ids=list(PEAK_ROWS[test]))
 
 
-def test_oracle_peak_memory(tmp_path):
-    # traced peak of the whole command on K = 2^16 points, measured at 28.7 bytes a
-    # point (31.2 as a process's first command): the grid, the density column, one
-    # block of the closed form and the series check, and the writer's chunks.  One
-    # more grid-length array alive (8 bytes a point) fails it
-    k = 2**16
-    assert _oracle_peak(tmp_path, 0.8, 0.1, k) <= 34 * k
-    # the 2^16 - 1 points of fourier:131072, measured at 28.8 bytes a point: a Fourier
-    # grid's int64 indices (8 bytes a point), which oracle never reads, must die at the parse
-    k = 2**16 - 1
-    assert _oracle_peak(tmp_path, 0.8, 0.1, k, grid="fourier:131072") <= 34 * k
+@peak_rows("analyze")
+def test_analyze_peak_memory(row, peak_series, tmp_path):
+    check_peak(row, peak_series, tmp_path)
 
 
-@pytest.mark.parametrize("phi, theta", [(0.8, -1.2), (-0.6, 0.9), (-0.6, 0.1)])
-def test_oracle_peak_memory_other_signs(phi, theta, tmp_path):
-    # the other three oracle-dense sign cases, measured at 28.6-28.8 bytes a point
-    k = 2**16
-    assert _oracle_peak(tmp_path, phi, theta, k) <= 34 * k
+@peak_rows("analyze_json")
+def test_analyze_json_peak_memory(row, peak_series, tmp_path):
+    check_peak(row, peak_series, tmp_path)
 
 
-def test_oracle_peak_memory_growth(tmp_path):
-    # from K = 2^16 to 2^18 the peak grows by 16.0 bytes a point, the grid and the
-    # density column; a block's arrays do not grow with K
-    small, large = (_oracle_peak(tmp_path, 0.8, 0.1, k) for k in (2**16, 2**18))
-    assert large - small <= 17 * (2**18 - 2**16)
+@peak_rows("simulate")
+def test_simulate_peak_memory(row, peak_series, tmp_path):
+    check_peak(row, peak_series, tmp_path)
+
+
+def test_oracle_peak_memory(peak_series, tmp_path):
+    check_peak(PEAK_ROWS["oracle"]["fourier"], peak_series, tmp_path)
+
+
+def test_oracle_peak_memory_growth(peak_series, tmp_path):
+    check_peak(PEAK_ROWS["oracle"]["linspace"], peak_series, tmp_path)
+
+
+@peak_rows("oracle_other_signs")
+def test_oracle_peak_memory_other_signs(row, peak_series, tmp_path):
+    check_peak(row, peak_series, tmp_path)
+
+
+def _peak_case(argv, n):
+    """The parser's choices that a row runs at size n, and the code path they take there."""
+    a = cli.build_parser().parse_args(cli._attach_negative_values(_fill(argv, n, "o", "s")))
+    if a.command == "analyze":
+        return a.command, a.band, a.output_format
+    if a.command == "oracle":  # the closed form's sign case, and the kind of grid
+        return a.command, a.model, a.grid.split(":")[0], a.phi > 0, a.phi + a.theta > 0
+    if a.model == "iid":
+        return a.command, a.model, "noise"
+    if a.model == "maxma":
+        return a.command, a.model, "psi" if a.psi else "filter"
+    c = a.phi if a.model == "arma11" else a.logvol_ar
+    lanes = (n + simulate.default_burnin(c)) // simulate._lane_length(c)
+    return a.command, a.model, "lanes" if lanes >= simulate._MIN_LANES else "plain loop"
+
+
+def test_every_parser_choice_has_a_peak_row():
+    # one row for each choice of the parser, each path of the first-order filter, each
+    # sign case of the oracle on linspace and a Fourier grid: a new model, band or
+    # format fails here until it has a memory bound, and so does a deleted row
+    def choices(parser, dest):
+        return next(a.choices for a in parser._actions if a.dest == dest)
+
+    sub = choices(cli.build_parser(), "command")
+    paths = {"iid": ["noise"], "maxma": ["psi", "filter"]}
+    expected = [("analyze", band, fmt) for band in choices(sub["analyze"], "band")
+                for fmt in choices(sub["analyze"], "output_format")]
+    expected += [("simulate", model, path) for model in choices(sub["simulate"], "model")
+                 for path in paths.get(model, ["lanes", "plain loop"])]
+    for model in choices(sub["oracle"], "model"):
+        expected += [("oracle", model, "linspace", s, t) for s in (True, False)
+                     for t in (True, False)]
+        expected.append(("oracle", model, "fourier", True, True))
+    cases = [_peak_case(row[0], row[2]) for rows in PEAK_ROWS.values() for row in rows.values()]
+    assert sorted(cases, key=str) == sorted(expected, key=str)
 
 
 class TestAnalyzeAgreesWithLibrary:

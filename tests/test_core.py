@@ -210,6 +210,10 @@ class TestSmoothingGrid:
         lam = 2 * math.pi * 10 / 100
         assert smoothing_window_starts(lam, 100, 0).tolist() == [10]
 
+    def test_tiny_target_maps_to_the_first_index(self):
+        # x = lam*n/(2*pi) is below the 1e-12 slack here, yet j0 is 1 for any target in (0, pi)
+        assert smoothing_window_starts(1e-15, 3000, 0).tolist() == [1]
+
     def test_rejects_window_leaving_interval(self):
         with pytest.raises(ParameterError, match="maximum half-width"):
             smoothing_window_starts(0.05, 100, 2)

@@ -38,6 +38,7 @@ from extspec import (
     spectral_from_extremogram,
     thin_grid,
 )
+from extspec.core import smoothing_window_starts
 from extspec.trigsums import arith_trig_sum, cross_lag_sum, geometric_trig_sum, k_weighted_trig_sum
 
 GRID = FrequencyGrid.from_frequencies([1.0, 2.0])
@@ -67,6 +68,9 @@ def row(name, call, kind, message):
         InputError, "tail set membership must preserve the series shape"),
     row("frequency-grid-2d", lambda: FrequencyGrid.from_frequencies([[1.0, 2.0]]),
         ParameterError, "frequency grid must be one-dimensional"),
+    row("window-tiny-target", lambda: smoothing_window_starts(1e-15, 3000, 1), ParameterError,
+        "smoothing window of half-width 1 around frequency 1e-15 leaves (0, pi); "
+        "the maximum half-width here is 0"),
     row("window-n-1",
         lambda: smoothed_at_frequencies(IndicatorSeries(np.array([True])), [1.0],
                                         daniell_window(0)),
@@ -108,9 +112,19 @@ def row(name, call, kind, message):
         "lag-0 tail dependence must be 1"),
     row("series-lag-eps-0", lambda: series_lag_for_accuracy(0.8, 3.0, 0.0), ParameterError,
         "eps must lie in (0, 1)"),
+    *[row(f"series-lag-alpha-{alpha}", lambda alpha=alpha: series_lag_for_accuracy(0.8, alpha),
+          ParameterError, message) for alpha, message in [
+        (0.0, "tail index alpha must be positive"),
+        (math.nan, "tail index alpha must be positive"),
+        (-1.0, "tail index alpha must be positive"),
+        (math.inf, "tail index alpha must be finite"),
+        (1e-320, "series truncation depth is infinite at phi=0.8, alpha=1e-320"),
+    ]],
     row("noise-spec", lambda: sample_noise("cauchy", 10, 1), ParameterError,
         "unknown noise spec 'cauchy'"),
     row("default-burnin-1", lambda: default_burnin(1.0), ParameterError,
+        "memory coefficient must satisfy |c| < 1"),
+    row("default-burnin-nan", lambda: default_burnin(math.nan), ParameterError,
         "memory coefficient must satisfy |c| < 1"),
     row("arith-terms", lambda: arith_trig_sum(-1, 0.5, 0.5), ParameterError,
         "number of terms must be nonnegative"),
