@@ -52,69 +52,66 @@ def _write_manifest(path: Path, payload: dict) -> None:
 # Flag parsing helpers
 
 
+_GRAMMARS = {  # each spec's grammar, stated once: the parsers' errors and --help read it
+    "noise spec": "t:NU or pareto:ALPHA[:P]",
+    "tail set": "upper:A, lower:A or interval:A:B",
+    "window": "daniell:S or custom:w1,w2,...",
+    "grid": "fourier[:N], linspace:A:B:K or list:l1,l2,...",
+}
+
+
+def _parse_spec(text: str, what: str, forms: dict):
+    """Parse ``name:field:...`` by ``forms``, name -> (the field counts it takes, its builder).
+
+    The builder gets the fields as text; a ValueError it raises is reported with the spec.
+    """
+    name, *fields = text.split(":")
+    counts, build = forms.get(name, ((), None))
+    if len(fields) in counts:
+        try:
+            return build(*fields)
+        except ValueError as exc:
+            raise ParameterError(f"bad {what} {text!r}: {exc}") from exc
+    raise ParameterError(f"bad {what} {text!r}: expected {_GRAMMARS[what]}")
+
+
+def _floats(text: str) -> list[float]:
+    """The numbers of a comma list; empty items are skipped."""
+    return [float(v) for v in text.split(",") if v != ""]
+
+
 def parse_noise(text: str) -> simulate.NoiseSpec:
-    """``t:NU`` or ``pareto:ALPHA:P``."""
-    parts = text.split(":")
-    try:
-        if parts[0] == "t" and len(parts) == 2:
-            return simulate.StudentT(df=float(parts[1]))
-        if parts[0] == "pareto" and len(parts) in (2, 3):
-            share = float(parts[2]) if len(parts) == 3 else 0.5
-            return simulate.ParetoBalanced(alpha=float(parts[1]), upper_share=share)
-    except ValueError as exc:
-        raise ParameterError(f"bad noise spec {text!r}: {exc}") from exc
-    raise ParameterError(f"bad noise spec {text!r}: expected t:NU or pareto:ALPHA[:P]")
+    return _parse_spec(text, "noise spec", {
+        "t": ((1,), lambda nu: simulate.StudentT(df=float(nu))),
+        "pareto": ((1, 2), lambda a, p=0.5: simulate.ParetoBalanced(float(a), float(p)))})
 
 
 def parse_tail_set(text: str) -> TailSet:
-    """``upper:A``, ``lower:A`` or ``interval:A:B``."""
-    parts = text.split(":")
-    try:
-        if parts[0] == "upper" and len(parts) <= 2:
-            return UpperRay(a=float(parts[1]) if len(parts) == 2 else 1.0)
-        if parts[0] == "lower" and len(parts) <= 2:
-            return LowerRay(a=float(parts[1]) if len(parts) == 2 else 1.0)
-        if parts[0] == "interval" and len(parts) == 3:
-            return Interval(a=float(parts[1]), b=float(parts[2]))
-    except ValueError as exc:
-        raise ParameterError(f"bad tail set {text!r}: {exc}") from exc
-    raise ParameterError(f"bad tail set {text!r}: expected upper:A, lower:A or interval:A:B")
+    return _parse_spec(text, "tail set", {
+        "upper": ((0, 1), lambda a=1.0: UpperRay(a=float(a))),
+        "lower": ((0, 1), lambda a=1.0: LowerRay(a=float(a))),
+        "interval": ((2,), lambda a, b: Interval(a=float(a), b=float(b)))})
 
 
 def parse_window(text: str) -> estimators.WeightWindow:
-    """``daniell:S`` or ``custom:w1,w2,...`` (odd count, offsets -s..s)."""
-    parts = text.split(":", 1)
-    try:
-        if parts[0] == "daniell" and len(parts) == 2:
-            return estimators.daniell_window(int(parts[1]))
-        if parts[0] == "custom" and len(parts) == 2:
-            w = [float(v) for v in parts[1].split(",") if v != ""]
-            return estimators.WeightWindow(np.asarray(w))
-    except ValueError as exc:
-        raise ParameterError(f"bad window {text!r}: {exc}") from exc
-    raise ParameterError(f"bad window {text!r}: expected daniell:S or custom:w1,w2,...")
+    return _parse_spec(text, "window", {
+        "daniell": ((1,), lambda s: estimators.daniell_window(int(s))),
+        "custom": ((1,), lambda w: estimators.WeightWindow(np.asarray(_floats(w))))})
+
+
+def _linspace(a: str, b: str, k: str) -> FrequencyGrid:
+    a, b, k = float(a), float(b), int(k)
+    require_bytes(k, f"{k} grid points")
+    return FrequencyGrid.from_frequencies(np.linspace(a, b, k))
 
 
 def parse_grid(text: str) -> FrequencyGrid:
-    """``fourier:N``, ``linspace:A:B:K`` or ``list:l1,l2,...`` (bare ``fourier`` needs a series)."""
-    parts = text.split(":")
-    try:
-        if parts[0] == "fourier" and len(parts) == 2:
-            return fourier_grid(int(parts[1]))
-        if parts[0] == "linspace" and len(parts) == 4:
-            a, b, k = float(parts[1]), float(parts[2]), int(parts[3])
-            require_bytes(k, f"{k} grid points")
-            return FrequencyGrid.from_frequencies(np.linspace(a, b, k))
-        if parts[0] == "list" and len(parts) == 2:
-            vals = [float(v) for v in parts[1].split(",") if v != ""]
-            return FrequencyGrid.from_frequencies(vals)
-    except ValueError as exc:
-        raise ParameterError(f"bad grid {text!r}: {exc}") from exc
-    if text == "fourier":
+    if text == "fourier":  # the series' own grid
         raise ParameterError(f"bad grid {text!r}: fourier grid needs a series length")
-    raise ParameterError(
-        f"bad grid {text!r}: expected fourier[:N], linspace:A:B:K or list:l1,l2,..."
-    )
+    return _parse_spec(text, "grid", {
+        "fourier": ((1,), lambda n: fourier_grid(int(n))),
+        "linspace": ((3,), _linspace),
+        "list": ((1,), lambda v: FrequencyGrid.from_frequencies(_floats(v)))})
 
 
 def read_series_csv(path) -> np.ndarray:
@@ -203,6 +200,7 @@ def _read_series_lines(path: Path) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     noise = parse_noise(args.noise)
+    simulate._draw_length(args.n, args.burnin or 0)  # every model, though iid and maxma draw none
     desc: dict = {"model": args.model, "noise": noise.describe()}
     burnin = 0
     if args.model == "iid":
@@ -222,10 +220,9 @@ def cmd_simulate(args) -> int:
     else:
         if args.psi is not None:
             try:
-                psi = tuple(float(v) for v in args.psi.split(",") if v != "")
+                desc["psi"] = psi = _floats(args.psi)
             except ValueError as exc:
                 raise ParameterError(f"bad --psi {args.psi!r}: {exc}") from None
-            desc["psi"] = list(psi)
         elif args.phi is not None and args.theta is not None:
             filt = oracles.arma11_filter(args.phi, args.theta)
             psi = tuple(filt.materialize(noise.tail, args.trunc_eps))
@@ -359,11 +356,9 @@ def run_analysis(args) -> dict:
     """Execute the pipeline on parsed ``analyze`` flags; returns the manifest."""
     if args.max_lag < 0:
         raise ParameterError("max lag must be nonnegative")
-    inference._check_level(args.level)
+    inference._check_band(args.replicates, args.level, args.band_seed)
     if args.band == "surrogate" and args.level != 0.05:
         raise ParameterError("--level sets the permutation band; the surrogate band is 95% only")
-    if args.band == "permutation":
-        inference._check_band(args.replicates, args.level, args.band_seed)
     tail_set = parse_tail_set(args.tail_set)
     window = parse_window(args.window)
     # every grid but the series' own Fourier grid is parsed before the read
@@ -542,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw a seeded model sample to CSV")
     sim.add_argument("model", choices=["iid", "arma11", "sv", "maxma"])
-    sim.add_argument("--noise", default="t:3", help="t:NU or pareto:ALPHA[:P]")
+    sim.add_argument("--noise", default="t:3", help=_GRAMMARS["noise spec"])
     sim.add_argument("--phi", type=float, default=None)
     sim.add_argument("--theta", type=float, default=None)
     sim.add_argument("--logvol-ar", type=float, default=0.0, dest="logvol_ar")
@@ -559,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--input", required=True)
     ana.add_argument("--out-dir", required=True, dest="out_dir")
     ana.add_argument("--q", type=float, default=0.98)
-    ana.add_argument("--tail-set", default="upper:1", dest="tail_set")
-    ana.add_argument("--window", default="daniell:50")
-    ana.add_argument("--grid", default="fourier")
+    ana.add_argument("--tail-set", default="upper:1", dest="tail_set", help=_GRAMMARS["tail set"])
+    ana.add_argument("--window", default="daniell:50", help=_GRAMMARS["window"])
+    ana.add_argument("--grid", default="fourier", help=_GRAMMARS["grid"])
     ana.add_argument("--max-lag", type=int, default=50, dest="max_lag")
     ana.add_argument("--band", choices=["none", "surrogate", "permutation"], default="none")
     ana.add_argument("--replicates", type=int, default=99)
@@ -576,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--theta", type=float, required=True)
     orc.add_argument("--alpha", type=float, required=True)
     orc.add_argument("--p", type=float, default=0.5)
-    orc.add_argument("--grid", default="linspace:0.01:3.13:512")
+    orc.add_argument("--grid", default="linspace:0.01:3.13:512", help=_GRAMMARS["grid"])
     orc.add_argument("--max-lag", type=int, default=50, dest="max_lag")
     orc.add_argument("--out-dir", required=True, dest="out_dir")
     orc.set_defaults(func=cmd_oracle)

@@ -67,12 +67,6 @@ def surrogate_band(curve: SpectralEstimate, window: WeightWindow) -> Band:
     )
 
 
-def _check_level(level: float) -> None:
-    """Reject an envelope level outside (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ParameterError("level must lie in (0, 1)")
-
-
 def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     """1-based order statistics bounding a pointwise Monte Carlo envelope.
 
@@ -81,7 +75,8 @@ def envelope_order_statistics(replicates: int, level: float) -> tuple[int, int]:
     """
     if replicates < 2:
         raise ParameterError("need at least two replicates")
-    _check_level(level)
+    if not 0.0 < level < 1.0:
+        raise ParameterError("level must lie in (0, 1)")
     lo = math.ceil(level / 2.0 * (replicates + 1) - 1e-9)
     hi = math.floor((1.0 - level / 2.0) * (replicates + 1) + 1e-9)
     lo = min(max(lo, 1), replicates)

@@ -75,6 +75,7 @@ class TestParsers:
 
     def test_tail_sets(self):
         assert parse_tail_set("upper:1") == UpperRay(1.0)
+        assert parse_tail_set("upper") == UpperRay(1.0)
         assert parse_tail_set("lower:2.5") == LowerRay(2.5)
         assert parse_tail_set("interval:1:2") == Interval(1.0, 2.0)
         with pytest.raises(ParameterError):
@@ -96,6 +97,25 @@ class TestParsers:
         assert np.allclose(g.freqs, [0.5, 1.0, 2.0])
         with pytest.raises(ParameterError):
             parse_grid("mesh:1")
+
+    # each form takes its own field counts only; any other count gets the grammar line
+    @pytest.mark.parametrize("parse, what, accepted, rejected", [
+        (parse_noise, "noise spec", ["t:3", "pareto:2", "pareto:2:0.3"],
+         ["t", "t:3:1", "pareto", "pareto:2:0.3:1"]),
+        (parse_tail_set, "tail set", ["upper", "upper:2", "lower", "lower:2", "interval:1:2"],
+         ["upper:1:2", "lower:1:2", "interval", "interval:1", "interval:1:2:3"]),
+        (parse_window, "window", ["daniell:3", "custom:1,2,1"],
+         ["daniell", "daniell:3:4", "custom", "custom:1:2"]),
+        (parse_grid, "grid", ["fourier:16", "linspace:0.5:2.5:3", "list:1,2"],
+         ["fourier:16:1", "linspace:0.5:2.5", "linspace:0.5:2.5:3:1", "list", "list:1:2"]),
+    ], ids=["noise", "tail-set", "window", "grid"])  # fmt: skip
+    def test_field_counts(self, parse, what, accepted, rejected):
+        for text in accepted:
+            parse(text)
+        for text in rejected:
+            with pytest.raises(ParameterError) as exc:
+                parse(text)
+            assert str(exc.value) == f"bad {what} {text!r}: expected {cli._GRAMMARS[what]}"
 
 
 class TestReadSeries:
@@ -331,6 +351,8 @@ def inputs(tmp_path_factory):
         (root / f"line3-{bad}.csv").write_text(f"1\n2\n{bad}\n")
     (root / "negative.csv").write_text("".join(f"{-v}\n" for v in range(1, 201)))
     (root / "one.csv").write_text("5.0\n")
+    assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
+                "--n", 4096, "--seed", 5, "--out", root / "arma.csv"]) == 0
     return root
 
 
@@ -423,6 +445,9 @@ def argv_rows(*rows):
     (["simulate", "arma11", "--phi", 0.5, "--theta", 0.1, "--burnin", -1],
      "burn-in must be nonnegative"),
     (["simulate", "sv", "--logvol-ar", 0.5, "--burnin", -1], "burn-in must be nonnegative"),
+    # iid and maxma draw no burn-in, but reject a negative one as the other models do
+    (["simulate", "iid", "--burnin", -1], "burn-in must be nonnegative"),
+    (["simulate", "maxma", "--psi", "1,0.5", "--burnin", -1], "burn-in must be nonnegative"),
     (["simulate", "sv", "--logvol-sd", -1], "log-volatility innovation sd must be nonnegative"),
     (["simulate", "maxma", "--psi", ","], "coefficient list is empty"),
     (["simulate", "maxma", "--phi", 0.5, "--theta", 0.3, "--trunc-eps", 0],
@@ -520,14 +545,21 @@ def test_missing_required_flag_exit_2(argv, words, rejected):
     rejected(argv, 2, words, base=False)
 
 
-@pytest.mark.parametrize("argv", [[], ["simulate"], ["analyze"], ["oracle"]],
-                         ids=lambda argv: " ".join(argv) or "extspec")
+# the spec flags whose grammar each command's --help gives
+HELP_GRAMMARS = {(): [], ("simulate",): ["noise spec"],
+                 ("analyze",): ["tail set", "window", "grid"], ("oracle",): ["grid"]}
+
+
+@pytest.mark.parametrize("argv", HELP_GRAMMARS, ids=lambda argv: " ".join(argv) or "extspec")
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--help"])
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: extspec") and not captured.err
+    text = " ".join(captured.out.split())  # argparse wraps long help lines
+    for what in HELP_GRAMMARS[argv]:
+        assert cli._GRAMMARS[what] in text, what
 
 
 class TestSimulateCommand:
@@ -536,14 +568,6 @@ class TestSimulateCommand:
         assert run(["simulate", "iid", "--noise", "pareto:3:0.5", "--n", 1000,
                     "--seed", 7, "--out", out]) == 0
         assert len(data_rows(out)) == 1000
-
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
-                "--n", 500, "--seed", 1]
-        assert run(args + ["--out", a]) == 0
-        assert run(args + ["--out", b]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_values_round_trip_losslessly(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -586,11 +610,8 @@ class TestSimulateCommand:
 
 
 @pytest.fixture(scope="module")
-def sim_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "arma.csv"
-    assert run(["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
-                "--n", 4096, "--seed", 5, "--out", path]) == 0
-    return path
+def sim_file(inputs):
+    return inputs / "arma.csv"
 
 
 class TestAnalyzeCommand:
@@ -610,15 +631,6 @@ class TestAnalyzeCommand:
         assert manifest["config"]["window"] == "daniell:10"
         # 21 extremogram rows (lags 0..20)
         assert len(data_rows(out / "extremogram.csv")) == 21 + 1  # header included
-
-    def test_idempotent_reruns(self, sim_file, tmp_path):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
-                "--band", "surrogate"]
-        assert run(args + ["--out-dir", out1]) == 0
-        assert run(args + ["--out-dir", out2]) == 0
-        for name in ("extremogram.csv", "spectrum.csv", "manifest.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_numeric_round_trip_17_digits(self, sim_file, tmp_path):
         out = tmp_path / "run"
@@ -654,14 +666,16 @@ class TestAnalyzeCommand:
         argv = ["analyze", *MISSING, "--band", "surrogate", "--level", 0.3]
         assert rejected(argv, 2, words) == "error: " + words
 
-    @pytest.mark.parametrize(
-        "flag, words",
-        [(["--replicates", 1], "need at least two replicates"),
-         (["--band-seed", -1], "band seed must be a nonnegative integer")],
-        ids=["replicates", "seed"],
-    )
-    def test_bad_band_flag_exit_2_before_reading(self, flag, words, rejected):
-        argv = ["analyze", *MISSING, "--band", "permutation", *flag]
+    # whatever the band, though only the permutation band uses the replicates and the seed
+    @pytest.mark.parametrize("band, flag, words", [
+        pytest.param(band, flag, words, id=name if band == "permutation" else f"{band}-{name}")
+        for band in ("permutation", "none", "surrogate")
+        for name, flag, words in (
+            ("replicates", ["--replicates", 1], "need at least two replicates"),
+            ("seed", ["--band-seed", -1], "band seed must be a nonnegative integer"))
+    ])  # fmt: skip
+    def test_bad_band_flag_exit_2_before_reading(self, band, flag, words, rejected):
+        argv = ["analyze", *MISSING, "--band", band, *flag]
         assert rejected(argv, 2, words) == "error: " + words
 
     def test_bad_grid_exit_2_before_reading(self, rejected):
@@ -769,15 +783,6 @@ class TestAnalyzeCommand:
         out = tmp_path / "csv"
         assert run([*argv, "--input", sim_file, "--out-dir", out]) == 0
         assert "-inf" in (out / "spectrum.csv").read_text()
-
-    def test_permutation_band_reruns_identical(self, sim_file, tmp_path):
-        args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
-                "--band", "permutation", "--replicates", 29, "--band-seed", 4,
-                "--grid", "list:0.8,1.2,1.6,2.0"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert run(args + ["--out-dir", out1]) == 0
-        assert run(args + ["--out-dir", out2]) == 0
-        assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
 
     def test_one_fft_per_run(self, sim_file, tmp_path, monkeypatch):
         calls = []
@@ -1238,26 +1243,60 @@ def _assert_finite_outputs(command, out):
             assert np.all(np.isnan(table["lower"][undefined]))
 
 
+def _run_in_new_dir(argv, inputs):
+    """Run ``argv`` with its inputs in ``inputs`` and its output in a new directory there.
+
+    Returns the exit code, stderr, the warnings raised and the output directory.
+    """
+    out = Path(tempfile.mkdtemp(dir=inputs))
+    argv = [f"{inputs}/{a}" if prev == "--input"
+            else a.replace("--input=", f"--input={inputs}/")
+            for prev, a in zip(["", *argv], argv)]
+    argv += [f"--out={out / 'x.csv'}"] if argv[0] == "simulate" else [f"--out-dir={out}"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)  # argparse's own rejections return 2 as well
+    return code, stderr.getvalue(), caught, out
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*")}
+
+
+# every chunk constant at a small odd value, and lockstep lanes of 7 values from two
+# lanes up, so that seams fall inside the tables, the oracle grids and the filter draws
+SEAMS = [(cli, "_CHUNK_CELLS", 7), (cli, "_ORACLE_BLOCK", 5), (simulate, "_CHUNK", 5),
+         (simulate, "_TILE", 3), (simulate, "_lane_length", lambda a: 7),
+         (simulate, "_MIN_LANES", 2)]
+
+
 class TestArgvProperty:
     @given(argv=argvs())
+    # an arma11 draw, whose rerun takes the lockstep lanes, and the surrogate and
+    # permutation bands on a 4,096-value arma11 draw
+    @example(argv=["simulate", "arma11", "--phi", "0.8", "--theta", "0.1", "--noise", "t:3",
+                   "--n", "500", "--seed", "1"])
+    @example(argv=["analyze", "--input", "arma.csv", "--q", "0.95", "--window", "daniell:10",
+                   "--band", "surrogate"])
+    @example(argv=["analyze", "--input", "arma.csv", "--q", "0.95", "--window", "daniell:10",
+                   "--band", "permutation", "--replicates", "29", "--band-seed", "4",
+                   "--grid", "list:0.8,1.2,1.6,2.0"])
     @settings(max_examples=300, deadline=None)
     def test_exit_code_error_line_and_finite_outputs(self, argv, inputs):
-        out = Path(tempfile.mkdtemp(dir=inputs))
-        argv = [f"{inputs}/{a}" if prev == "--input"
-                else a.replace("--input=", f"--input={inputs}/")
-                for prev, a in zip(["", *argv], argv)]
-        argv += [f"--out={out / 'x.csv'}"] if argv[0] == "simulate" else [f"--out-dir={out}"]
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(argv)  # argparse's own rejections return 2 as well
-        err = stderr.getvalue()
+        # a command that succeeds writes the same bytes again, whatever the chunk seams
+        code, err, caught, out = _run_in_new_dir(argv, inputs)
         assert code in (0, 2, 3), (argv, err)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
         assert "Traceback" not in err, (argv, err)
         if code == 0:
             _assert_finite_outputs(argv[0], out)
+            with contextlib.ExitStack() as stack:
+                for module, name, value in SEAMS:
+                    stack.enter_context(mock.patch.object(module, name, value))
+                again = _run_in_new_dir(argv, inputs)
+            assert again[0] == 0 and _tree(again[3]) == _tree(out), argv
         else:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)

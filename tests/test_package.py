@@ -70,3 +70,11 @@ def test_library_code_never_names_long_double():
             if name in long_double:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10: syntax newer than that fails here,
+    # on whatever interpreter runs the suite
+    package, tests = Path(extspec.__file__).parent, Path(__file__).parent
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py")]):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
