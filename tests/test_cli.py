@@ -569,6 +569,14 @@ class TestSimulateCommand:
                     "--seed", 7, "--out", out]) == 0
         assert len(data_rows(out)) == 1000
 
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["simulate", "arma11", "--phi", 0.8, "--theta", 0.1, "--noise", "t:3",
+                "--n", 500, "--seed", 1]
+        assert run(args + ["--out", a]) == 0
+        assert run(args + ["--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_values_round_trip_losslessly(self, tmp_path):
         out = tmp_path / "x.csv"
         run(["simulate", "iid", "--noise", "t:3", "--n", 50, "--seed", 3, "--out", out])
@@ -631,6 +639,15 @@ class TestAnalyzeCommand:
         assert manifest["config"]["window"] == "daniell:10"
         # 21 extremogram rows (lags 0..20)
         assert len(data_rows(out / "extremogram.csv")) == 21 + 1  # header included
+
+    def test_idempotent_reruns(self, sim_file, tmp_path):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
+                "--band", "surrogate"]
+        assert run(args + ["--out-dir", out1]) == 0
+        assert run(args + ["--out-dir", out2]) == 0
+        for name in ("extremogram.csv", "spectrum.csv", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_numeric_round_trip_17_digits(self, sim_file, tmp_path):
         out = tmp_path / "run"
@@ -783,6 +800,15 @@ class TestAnalyzeCommand:
         out = tmp_path / "csv"
         assert run([*argv, "--input", sim_file, "--out-dir", out]) == 0
         assert "-inf" in (out / "spectrum.csv").read_text()
+
+    def test_permutation_band_reruns_identical(self, sim_file, tmp_path):
+        args = ["analyze", "--input", sim_file, "--q", 0.95, "--window", "daniell:10",
+                "--band", "permutation", "--replicates", 29, "--band-seed", 4,
+                "--grid", "list:0.8,1.2,1.6,2.0"]
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        assert run(args + ["--out-dir", out1]) == 0
+        assert run(args + ["--out-dir", out2]) == 0
+        assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
 
     def test_one_fft_per_run(self, sim_file, tmp_path, monkeypatch):
         calls = []
